@@ -5,8 +5,8 @@
         [--format json|text] [--out PATH]
 
 <scenario> is a builtin name or a path to a JSON config.  Exit codes:
-0 integrable, 1 non-integrable, 2 invalid or inconsistent run, 3 usage
-or configuration error.
+0 integrable, 1 non-integrable, 2 invalid or inconsistent run (an
+unexpected exception included), 3 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -101,6 +101,16 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
+    try:
+        return _check(argv)
+    except Exception as exc:  # exit 1 is a verdict; a crash must not read as one
+        message = " ".join(str(exc).split())
+        print(f"invalid run: unexpected {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 2
+
+
+def _check(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

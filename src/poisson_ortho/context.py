@@ -12,8 +12,8 @@ Two deliberate exceptions to the caching:
 * expression-backed frame fields are differentiated directly (their
   derivatives are exact, and wrapping them would lose that);
 * projectors are built from the orthogonal frame, h = Xi G^{-1} Xi^T g
-  with G the frame gram matrix, which varies smoothly with the point. The
-  column-pivoting construction in poisson.projectors is algebraically the
+  with G the frame gram matrix, which varies smoothly with the point. A
+  construction from a column-pivoted leaf basis of P is algebraically the
   same operator, but its pivot choice can jump between neighbouring
   stencil points, which would poison finite differences.
 """
@@ -156,13 +156,7 @@ class ChartContext:
                 self.metric, self.structure.bivector, q, self.scheme,
                 gamma=self.christoffel_at(q)))
 
-    # -- projectors and the leaf operator -------------------------------
-
-    def leaf_operator_at(self, p) -> np.ndarray:
-        """A = P g: kernel the orthogonal distribution, image the leaf."""
-        return self._cached(
-            "A", as_point(p),
-            lambda q: self.bivector_at(q) @ self.metric_at(q))
+    # -- projectors -----------------------------------------------------
 
     def projector_h(self, p) -> np.ndarray:
         """g-orthogonal projector onto the orthogonal distribution."""
@@ -179,29 +173,12 @@ class ChartContext:
 
     # -- derived fields for bracket arguments ---------------------------
 
-    def matrix_applied_field(self, matrix_at, base: TensorField) -> TensorField:
-        """Vector field q -> matrix_at(q) @ base(q)."""
-        if base.variance != "u":
-            raise ValueError("expected a vector field")
-
-        def evaluate_at(q: Point):
-            return matrix_at(q) @ base.components(q)
-
-        return TensorField(self.dim, "u", evaluate_at)
-
     def projected_frame_field(self, i: int, which: str) -> TensorField:
         matrix_at = {"h": self.projector_h, "v": self.projector_v}[which]
         return self._field(
             ("projected_frame", i, which),
             lambda: TensorField(self.dim, "u",
                                 lambda q: matrix_at(q) @ self.frame_at(q)[:, i]))
-
-    def projector_field(self, which: str) -> TensorField:
-        """The projector as a mixed tensor field (for torsion arguments)."""
-        matrix_at = {"h": self.projector_h, "v": self.projector_v}[which]
-        return self._field(
-            ("projector_field", which),
-            lambda: TensorField(self.dim, "ul", matrix_at))
 
     def _frame_variant(self, i: int, mode: str) -> TensorField:
         if mode == "plain":

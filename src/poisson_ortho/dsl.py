@@ -195,10 +195,25 @@ def powi(base: Expr, power: int) -> Expr:
         return Lit(1.0)
     if n == 1:
         return base
-    c = _as_const(base)
-    if c is not None and not (c == 0.0 and n < 0):
-        return lit(float(c) ** n)
+    folded = _const_power(_as_const(base), n)
+    if folded is not None:
+        return lit(folded)
     return Pow(base, n)
+
+
+def _const_power(c, n: int):
+    """c ** n when c is a constant and the result is a finite float, else None.
+
+    An overflowing power stays a ``Pow`` node, so folding never raises where
+    ``evaluate`` would report the same overflow as an ExprDomainError.
+    """
+    if c is None or (c == 0.0 and n < 0):
+        return None
+    try:
+        value = float(c) ** n
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def call(func: str, arg: Expr) -> Expr:
@@ -451,9 +466,9 @@ def fold(e: Expr) -> Expr:
         return BinOp(e.op, a, b)
     if isinstance(e, Pow):
         base = fold(e.base)
-        c = _as_const(base)
-        if c is not None and not (c == 0.0 and e.power < 0):
-            return lit(float(c) ** e.power)
+        folded = _const_power(_as_const(base), e.power)
+        if folded is not None:
+            return lit(folded)
         return Pow(base, e.power)
     if isinstance(e, Call):
         arg = fold(e.arg)

@@ -2,22 +2,22 @@
 
 Everything here asks one question about a regular Poisson bivector P and a
 metric g: is the g-orthogonal complement of the symplectic leaves closed
-under Lie brackets?  The answer is computed several independent ways:
+under Lie brackets?  ``verdict`` answers it several independent ways:
 
 * four first-order conditions contracting covariant derivatives of the
   coframe, the frame, or the bivector against P;
 * the Frobenius curvature v([h., h.]) of the projector pair;
 * the Nijenhuis torsion of the leaf projector restricted to the frame;
-* a co-vanishing consistency check pitting the bivector route P g [xi, xi]
-  against the torsion route;
-* a Christoffel-symmetry test available only in charts where P is the
-  exact canonical constant block matrix.
+* a Christoffel-form Frobenius test available only in charts where P is
+  the exact canonical constant block matrix.
 
 All of these must agree; disagreement marks the run invalid (it can only
-come from numerics, not from the geometry).  Sufficient-only conditions
-(parallel bivector, leaf parallel transport, parallel coframe) are
-reported as well but never flip the verdict: when they fail they are
-merely inconclusive.
+come from numerics, not from the geometry).  The co-vanishing check of
+the bivector route P g [xi, xi] against the torsion route is derived from
+the six values already computed at each point, not evaluated again.
+Sufficient-only conditions (parallel bivector, leaf parallel transport,
+parallel coframe) are reported as well but never flip the verdict: when
+they fail they are merely inconclusive.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsl
 from .context import ChartContext
 from .errors import GeometryError
 from .geometry import (
-    DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid, Point, TensorField,
-    as_point, lie_bracket,
+    DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid, Point, as_point,
 )
-from .metric import MetricField, christoffel
+from .metric import MetricField
 from .poisson import (
     PoissonStructure, canonical_bivector, check_gram_nondegenerate,
     independent_columns,
@@ -69,7 +67,7 @@ FORMULAS = {
     "kernel-image-covanishing":
         "|P g [xi_i, xi_j]| <= tol  iff  |N_v(xi_i, xi_j)| <= tol",
     "christoffel-symmetry":
-        "Gamma_{JIt} - Gamma_{IJt}, transversal I < J, leaf t",
+        "xi_I^a xi_J^b (Gamma_{bat} - Gamma_{abt}), frame pairs I < J, leaf t",
     "parallel-bivector-on-kernel":
         "(nabla_{xi_i} P)^{ts} omega^j_s",
     "leaf-parallel-transport":
@@ -97,43 +95,6 @@ def _pairs(codim: int):
 
 def _amax(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# curvature and torsion (general-argument forms)
-
-def frobenius_curvature(gamma: TensorField, eta: TensorField, p,
-                        ctx: ChartContext) -> np.ndarray:
-    """Leaf component of the bracket of the projected arguments, v([h g, h e]).
-
-    Zero for all section pairs exactly when the orthogonal distribution is
-    integrable. The result lies in the image of v by construction.
-    """
-    p = as_point(p)
-    hgamma = ctx.matrix_applied_field(ctx.projector_h, gamma)
-    heta = ctx.matrix_applied_field(ctx.projector_h, eta)
-    return ctx.projector_v(p) @ lie_bracket(hgamma, heta, p, ctx.scheme)
-
-
-def _applied(jfield: TensorField, x: TensorField) -> TensorField:
-    return TensorField(x.dim, "u",
-                       lambda q: jfield.components(q) @ x.components(q))
-
-
-def nijenhuis_torsion(jfield: TensorField, x: TensorField, y: TensorField, p,
-                      scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """N_J(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] + J J [X,Y] at p."""
-    if jfield.variance != "ul":
-        raise ValueError("expected a mixed (1,1) tensor field")
-    p = as_point(p)
-    J = jfield.components(p)
-    jx = _applied(jfield, x)
-    jy = _applied(jfield, y)
-    t1 = lie_bracket(jx, jy, p, scheme)
-    t2 = J @ lie_bracket(jx, y, p, scheme)
-    t3 = J @ lie_bracket(x, jy, p, scheme)
-    t4 = J @ (J @ lie_bracket(x, y, p, scheme))
-    return t1 - t2 - t3 + t4
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +158,6 @@ def equivalence_condition_values(ctx: ChartContext, p) -> dict:
     return vals
 
 
-def equivalence_condition_reports(ps: PoissonStructure, m: MetricField, p,
-                                  scheme: DerivativeScheme = DEFAULT_SCHEME,
-                                  tol: float | None = None,
-                                  ctx: ChartContext | None = None) -> list:
-    """Single-point reports for the six equivalent conditions."""
-    ctx = ctx or ChartContext(ps, m, scheme)
-    tol = default_tolerance(ctx.scheme) if tol is None else tol
-    p = as_point(p)
-    vals = equivalence_condition_values(ctx, p)
-    reports = []
-    for cid in EQUIVALENCE_IDS:
-        rep = ConditionReport(cid, FORMULAS[cid], tol)
-        rep.add(p, vals[cid])
-        reports.append(rep)
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # sufficient-only conditions
 
@@ -268,79 +212,24 @@ def sufficient_condition_values(ctx: ChartContext, p) -> dict:
     }
 
 
-def sufficient_condition_reports(ps: PoissonStructure, m: MetricField, p,
-                                 scheme: DerivativeScheme = DEFAULT_SCHEME,
-                                 tol: float | None = None,
-                                 ctx: ChartContext | None = None) -> list:
-    """Single-point reports for the sufficient-only conditions.
-
-    These never make the verdict fail: a residual above tolerance only
-    downgrades the report to "inconclusive".
-    """
-    ctx = ctx or ChartContext(ps, m, scheme)
-    tol = default_tolerance(ctx.scheme) if tol is None else tol
-    p = as_point(p)
-    vals = sufficient_condition_values(ctx, p)
-    reports = []
-    for cid in SUFFICIENT_IDS:
-        rep = ConditionReport(cid, FORMULAS[cid], tol, binding=False)
-        rep.add(p, vals[cid])
-        if cid == "parallel-coframe":
-            rep.extras["premise_max_residual"] = vals["parallel-coframe-premise"]
-            if vals["parallel-coframe-premise"] > tol:
-                rep.status = "inconclusive"
-        if rep.status is None and not rep.holds:
-            rep.status = "inconclusive"
-        reports.append(rep)
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # co-vanishing of the bivector route and the torsion route
 
-def covanishing_values(ctx: ChartContext, p) -> tuple:
-    """(bivector-route norm, torsion-route norm), each max over frame pairs.
+def covanishing_values(vals: dict) -> tuple:
+    """(bivector-route norm, torsion-route norm) from one point's six values.
 
-    The two routes measure the leaf component of frame brackets through
-    unrelated operators (P g versus the projector torsion), so they must
-    vanish together; a point where only one is small flags broken numerics.
+    The bivector route max |P g [xi_i, xi_j]| is the coframe-bracket-closure
+    residual and the torsion route is the Nijenhuis residual, so both are
+    read from ``equivalence_condition_values`` instead of being evaluated a
+    second time. The two measure the leaf component of frame brackets
+    through unrelated operators (P g versus the projector torsion), so they
+    must vanish together.
     """
-    p = as_point(p)
-    A = ctx.leaf_operator_at(p)
-    route_a = 0.0
-    route_n = 0.0
-    for i, j in _pairs(ctx.codim):
-        bracket = ctx.frame_bracket(i, j, "plain", "plain", p)
-        route_a = max(route_a, _amax(A @ bracket))
-        route_n = max(route_n, _amax(_frame_torsion(ctx, i, j, p)))
-    return route_a, route_n
-
-
-def covanishing_consistency(ps: PoissonStructure, m: MetricField, grid: Grid,
-                            scheme: DerivativeScheme = DEFAULT_SCHEME,
-                            tol: float | None = None,
-                            ctx: ChartContext | None = None) -> ConditionReport:
-    """Grid-wide co-vanishing check; residual 1.0 marks a disagreement point."""
-    ctx = ctx or ChartContext(ps, m, scheme)
-    tol = default_tolerance(ctx.scheme) if tol is None else tol
-    rep = ConditionReport(
-        "kernel-image-covanishing", FORMULAS["kernel-image-covanishing"], 0.5,
-        binding=False)
-    route_a_norms = []
-    route_n_norms = []
-    for p in grid.sample():
-        ra, rn = covanishing_values(ctx, p)
-        route_a_norms.append(ra)
-        route_n_norms.append(rn)
-        rep.add(p, 0.0 if (ra <= tol) == (rn <= tol) else 1.0)
-    rep.extras["bivector_route_norms"] = route_a_norms
-    rep.extras["torsion_route_norms"] = route_n_norms
-    rep.extras["vanishing_tolerance"] = tol
-    return rep
+    return vals["coframe-bracket-closure"], vals["nijenhuis-torsion"]
 
 
 # ---------------------------------------------------------------------------
-# canonical-chart Christoffel symmetry
+# canonical-chart Christoffel criterion
 
 def canonical_block_form_ok(P: np.ndarray, rank: int) -> bool:
     """True when P is exactly the constant canonical block matrix.
@@ -356,34 +245,31 @@ def canonical_block_form_ok(P: np.ndarray, rank: int) -> bool:
     return np.array_equal(P, pattern) or np.array_equal(P, -pattern)
 
 
-def canonical_chart_symmetry(ps: PoissonStructure, m: MetricField, p,
-                             scheme: DerivativeScheme = DEFAULT_SCHEME,
-                             tol: float | None = None) -> ConditionReport:
-    """Christoffel-symmetry residual in a canonical chart at one point.
+def canonical_chart_symmetry(ctx: ChartContext, p) -> float:
+    """Christoffel-form Frobenius residual in a canonical chart at one point.
 
-    Integrability in such a chart is equivalent to the first-kind symbols
-    satisfying Gamma_{JIt} = Gamma_{IJt} for transversal I, J and leaf t.
+    With the bivector in canonical block form the leaf coordinates t index
+    the 1-forms theta_t = g(d_t, .), which span the annihilator of the
+    orthogonal distribution, and d theta_t(d_a, d_b) = Gamma_{bat} -
+    Gamma_{abt} in first-kind symbols. By Frobenius the distribution is
+    integrable exactly when xi_I^a xi_J^b (Gamma_{bat} - Gamma_{abt})
+    vanishes for every frame pair I < J and leaf t. The coordinate-index
+    symmetry Gamma_{JIt} = Gamma_{IJt} alone is equivalent only where the
+    metric has no transversal-leaf entries g_{It}.
     """
     p = as_point(p)
-    tol = default_tolerance(scheme) if tol is None else tol
-    P = ps.bivector.components(p)
-    if not canonical_block_form_ok(P, ps.expected_rank):
+    if not canonical_block_form_ok(ctx.bivector_at(p), ctx.structure.expected_rank):
         raise GeometryError(
             f"bivector at {p!r} is not the canonical constant block form; "
             "the Christoffel-symmetry criterion is specific to such charts")
-    first = christoffel(m, p, scheme).first_kind
-    d = ps.codim
-    dim = ps.dim
+    leaf = ctx.christoffel_at(p).first_kind[:, :, ctx.codim:]
+    dtheta = leaf.swapaxes(0, 1) - leaf  # [a, b, t] = d theta_t(d_a, d_b)
+    frame = ctx.frame_at(p)
     residual = 0.0
-    for idx_i in range(d):
-        for idx_j in range(idx_i + 1, d):
-            for t in range(d, dim):
-                residual = max(residual, abs(
-                    float(first[idx_j, idx_i, t] - first[idx_i, idx_j, t])))
-    rep = ConditionReport(
-        "christoffel-symmetry", FORMULAS["christoffel-symmetry"], tol)
-    rep.add(p, residual)
-    return rep
+    for i, j in _pairs(ctx.codim):
+        residual = max(residual, _amax(
+            np.einsum("a,b,abt->t", frame[:, i], frame[:, j], dtheta)))
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +366,7 @@ def verdict(ps: PoissonStructure, m: MetricField, grid: Grid,
             sufficient[cid].add(p, suff[cid])
         premise_max = max(premise_max, suff["parallel-coframe-premise"])
 
-        ra, rn = covanishing_values(ctx, p)
+        ra, rn = covanishing_values(vals)
         covanish.extras["bivector_route_norms"].append(ra)
         covanish.extras["torsion_route_norms"].append(rn)
         agree = (ra <= tol) == (rn <= tol)
@@ -493,14 +379,13 @@ def verdict(ps: PoissonStructure, m: MetricField, grid: Grid,
             })
 
         if chart_ok:
-            chart_rep = canonical_chart_symmetry(ps, m, p, ctx.scheme, tol)
-            chart.add(p, chart_rep.max_residual)
-            point_verdict = all(flags)
-            if chart.holds_at(len(chart.points) - 1) != point_verdict:
+            residual = canonical_chart_symmetry(ctx, p)
+            chart.add(p, residual)
+            if chart.holds_at(len(chart.points) - 1) != all(flags):
                 disagreements.append({
                     "kind": "canonical-chart",
                     "point": [float(c) for c in p.coords],
-                    "residuals": {"christoffel-symmetry": chart.max_residual},
+                    "residuals": {"christoffel-symmetry": residual},
                 })
 
     sufficient["parallel-coframe"].extras["premise_max_residual"] = premise_max

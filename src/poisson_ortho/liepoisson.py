@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,15 @@ class StructureConstants:
                 f"want {(self.dim,) * 3}")
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
+
+    @cached_property
+    def validation(self) -> "ConstantsValidation":
+        """``validate_constants`` of this table, computed once.
+
+        The table is read-only, so the O(n^5) exact check never needs to
+        run twice for one set of constants.
+        """
+        return validate_constants(self)
 
 
 @dataclass
@@ -118,7 +128,7 @@ def validate_constants(sc: StructureConstants) -> ConstantsValidation:
 
 
 def require_valid(sc: StructureConstants) -> None:
-    report = validate_constants(sc)
+    report = sc.validation
     if report.antisymmetry_violations:
         where = report.antisymmetry_violations[0]
         raise ConsistencyError(

@@ -166,12 +166,6 @@ def sharp(m: MetricField, covector, p) -> np.ndarray:
     return inverse_metric(m, p) @ covector
 
 
-def flat(m: MetricField, vector, p) -> np.ndarray:
-    """Lower an index: component covector g_{mu nu} X^nu at p."""
-    vector = np.asarray(vector, dtype=float)
-    return m.components(p) @ vector
-
-
 def sharp_field(m: MetricField, omega: TensorField,
                 scheme: DerivativeScheme = DEFAULT_SCHEME) -> TensorField:
     """The vector field x -> g^{-1}(x) w(x) for a one-form field w.

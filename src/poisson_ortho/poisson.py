@@ -1,23 +1,23 @@
-"""Poisson bivector plus its Casimir coframe and metric-orthogonal frame.
+"""Poisson bivector, its Casimir coframe, and structure validation.
 
 The regular leaves are the integral surfaces of the image of the bivector;
 the object under study is the complementary distribution picked out by a
 metric: the g-orthogonal complement of the leaf tangent, spanned by the
-raised Casimir differentials xi_i = (dc^i)^sharp.
+raised Casimir differentials xi_i = (dc^i)^sharp (built in
+``context.ChartContext``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsl
-from .errors import ConfigError, DegeneracyError, RegularityError
+from .errors import DegeneracyError, RegularityError
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Grid, Point, TensorField, as_point, jacobian,
+    DEFAULT_SCHEME, DerivativeScheme, Grid, TensorField, as_point, jacobian,
 )
-from .metric import MetricField, inverse_metric, reject_singular, sharp_field
 from .reports import ConditionReport, PoissonValidationReport
 
 RANK_SVD_FACTOR = 1e-9
@@ -101,59 +101,6 @@ def coframe_fields(ps: PoissonStructure,
     return out
 
 
-def casimir_coframe(ps: PoissonStructure, p,
-                    scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """Coframe values at p as rows of a (codim, dim) array.
-
-    Checks that the bivector annihilates every row and that the rows are
-    linearly independent; dependence raises DegeneracyError, failed
-    annihilation raises ConfigError (the declared function is not invariant).
-    """
-    p = as_point(p)
-    rows = np.array([w.components(p) for w in coframe_fields(ps, scheme)])
-    P = ps.bivector.components(p)
-    scale = max(1.0, float(np.max(np.abs(P))) * float(np.max(np.abs(rows), initial=0.0)))
-    for i in range(rows.shape[0]):
-        residual = float(np.max(np.abs(P @ rows[i])))
-        if residual > ANNIHILATION_TOL * scale:
-            raise ConfigError(
-                f"declared invariant function {i} is not annihilated by the "
-                f"bivector at {p!r} (residual {residual:.3e})")
-    singulars = np.linalg.svd(rows, compute_uv=False)
-    if singulars[-1] <= RANK_SVD_FACTOR * max(singulars[0], 1e-300):
-        raise DegeneracyError(
-            f"casimir coframe is linearly dependent at {p!r}",
-            detail={"singular_values": singulars})
-    return rows
-
-
-@dataclass
-class DistributionFrame:
-    """Frame of the orthogonal distribution: xi_i = (omega^i)^sharp.
-
-    ``covectors`` and ``vectors`` are fields; gram(p) evaluates the matrix
-    g(xi_i, xi_j), which, because the frame is orthogonal to the leaves,
-    equals omega^i(xi_j).
-    """
-
-    covectors: list
-    vectors: list
-
-    @property
-    def codim(self) -> int:
-        return len(self.vectors)
-
-    def coframe_matrix(self, p) -> np.ndarray:
-        return np.array([w.components(p) for w in self.covectors])
-
-    def frame_matrix(self, p) -> np.ndarray:
-        """Columns are the frame vectors at p, shape (dim, codim)."""
-        return np.array([v.components(p) for v in self.vectors]).T
-
-    def gram(self, p) -> np.ndarray:
-        return self.coframe_matrix(p) @ self.frame_matrix(p)
-
-
 def check_gram_nondegenerate(gram: np.ndarray, p) -> None:
     d = gram.shape[0]
     scale = max(1.0, float(np.max(np.abs(gram))))
@@ -165,24 +112,6 @@ def check_gram_nondegenerate(gram: np.ndarray, p) -> None:
             f"degenerate on the orthogonal distribution even where the leaf "
             f"is regular)",
             detail={"det": det, "gram": gram.copy()})
-
-
-def orthogonal_frame(ps: PoissonStructure, m: MetricField, p,
-                     scheme: DerivativeScheme = DEFAULT_SCHEME) -> DistributionFrame:
-    """Build the orthogonal frame and validate it at p."""
-    p = as_point(p)
-    casimir_coframe(ps, p, scheme)  # annihilation + independence
-    covectors = coframe_fields(ps, scheme)
-    vectors = [sharp_field(m, w, scheme) for w in covectors]
-    frame = DistributionFrame(covectors=covectors, vectors=vectors)
-    check_gram_nondegenerate(frame.gram(p), p)
-    return frame
-
-
-def leaf_operator(ps: PoissonStructure, m: MetricField, p) -> np.ndarray:
-    """A^t_m = P^{ts} g_{sm}: kernel is the orthogonal distribution, image
-    the leaf tangent."""
-    return ps.bivector.components(p) @ m.components(p)
 
 
 def independent_columns(matrix: np.ndarray, rel_tol: float = 1e-9) -> list:
@@ -203,32 +132,6 @@ def independent_columns(matrix: np.ndarray, rel_tol: float = 1e-9) -> list:
             ortho.append(c / nrm)
             chosen.append(col)
     return chosen
-
-
-def leaf_basis(ps: PoissonStructure, p) -> tuple:
-    """(B, columns): B's columns are independent bivector columns at p."""
-    P = ps.bivector.components(p)
-    cols = independent_columns(P)
-    return P[:, cols], cols
-
-
-def projectors(ps: PoissonStructure, m: MetricField, p) -> tuple:
-    """g-orthogonal projectors (v, h) onto leaf tangent and its complement.
-
-    v = B (B^T g B)^{-1} B^T g over a leaf-tangent basis B; h = 1 - v.
-    """
-    p = as_point(p)
-    B, cols = leaf_basis(ps, p)
-    if len(cols) != ps.expected_rank:
-        raise RegularityError(
-            f"bivector rank {len(cols)} at {p!r}, expected {ps.expected_rank}",
-            points=[p])
-    g = m.components(p)
-    core = B.T @ g @ B
-    reject_singular(core, f"leaf metric gram at {p!r}")
-    v = B @ np.linalg.inv(core) @ B.T @ g
-    h = np.eye(ps.dim) - v
-    return v, h
 
 
 def bivector_rank(P: np.ndarray) -> int:

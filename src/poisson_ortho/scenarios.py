@@ -37,12 +37,12 @@ from .geometry import (
     CENTRAL_2, CENTRAL_4, DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid,
 )
 from .integrability import (
-    Verdict, covanishing_values, default_tolerance,
-    equivalence_condition_values, sufficient_condition_values, verdict,
+    Verdict, default_tolerance, equivalence_condition_values,
+    sufficient_condition_values, verdict,
 )
 from .liepoisson import (
     BuiltinAlgebra, builtin_algebra, casimir_lie_bracket, ensure_regular_grid,
-    killing_form, se3_metric, validate_constants, verify_integral_surface,
+    killing_form, se3_metric, verify_integral_surface,
 )
 from .metric import MetricField
 from .poisson import PoissonStructure, canonical_bivector, validate_poisson
@@ -358,7 +358,6 @@ def _warm_context(ctx: ChartContext, points, workers: int) -> None:
     def warm(p):
         equivalence_condition_values(ctx, p)
         sufficient_condition_values(ctx, p)
-        covanishing_values(ctx, p)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(warm, points))
@@ -394,7 +393,6 @@ def _integral_surface_setup(name: str, center):
 
 def _algebra_extras(config: ScenarioConfig, ctx: ChartContext) -> dict:
     alg = config.algebra
-    constants_report = validate_constants(alg.constants)
     killing = killing_form(alg.constants)
     points = config.grid.sample()
 
@@ -412,7 +410,7 @@ def _algebra_extras(config: ScenarioConfig, ctx: ChartContext) -> dict:
     extras = {
         "algebra": alg.name,
         "extension": alg.extension,
-        "constants_validation": constants_report.to_dict(),
+        "constants_validation": alg.constants.validation.to_dict(),
         "killing_form": [[float(v) for v in row] for row in killing],
         "killing_determinant": float(np.linalg.det(killing)),
         "casimir_bracket_max_abs": bracket_max,

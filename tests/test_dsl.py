@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from poisson_ortho import dsl
 from poisson_ortho.dsl import (
@@ -198,6 +198,18 @@ def test_fold_preserves_division_by_zero_fault():
         evaluate(folded, [])
 
 
+def test_fold_keeps_overflowing_power():
+    # 1e-200 ** -2 leaves the float range: the node stays a Pow, and
+    # evaluating it reports the overflow as a domain error
+    folded = fold(parse("(1e-200)^-2"))
+    assert folded == Pow(Lit(1e-200), -2)
+    with pytest.raises(ExprDomainError):
+        evaluate(folded, [])
+    assert fold(parse("(1e-200)^-1")) == Lit(1e200)
+    # differentiating a constant power folds 1e-200 ** -2 on the way
+    assert evaluate(differentiate(Pow(Lit(1e-200), -1), 0), []) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # printing round trips
 
@@ -248,6 +260,7 @@ def test_round_trip_random_asts(e):
 
 @settings(max_examples=60, deadline=None)
 @given(_exprs(max_axis=2), st.integers(0, 1))
+@example(Pow(Lit(1.66e-285), -1), 0)  # folding 1.66e-285 ** -2 overflows
 def test_symbolic_derivative_matches_coarse_stencil(e, axis):
     # tolerance = truncation term (10*step^4, tame 5th derivative assumed)
     # plus a cancellation-roundoff term eps*|f|/step for huge function values

@@ -9,14 +9,12 @@ from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError, GeometryError
 from poisson_ortho.geometry import (
-    CENTRAL_2, CENTRAL_4, DerivativeScheme, Grid, Point, TensorField,
+    CENTRAL_2, CENTRAL_4, DerivativeScheme, Grid, Point, as_point,
 )
 from poisson_ortho.integrability import (
     DEFAULT_TOL_FD, DEFAULT_TOL_SYMBOLIC, EQUIVALENCE_IDS, SUFFICIENT_IDS,
-    canonical_block_form_ok, canonical_chart_symmetry, covanishing_consistency,
-    default_tolerance, equivalence_condition_reports,
-    equivalence_condition_values, frobenius_curvature, nijenhuis_torsion,
-    sufficient_condition_reports, verdict,
+    canonical_block_form_ok, canonical_chart_symmetry, default_tolerance,
+    equivalence_condition_values, verdict,
 )
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import PoissonStructure, canonical_bivector
@@ -68,13 +66,16 @@ def so3_structure():
         expected_rank=2)
 
 
-def coordinate_field(dim, axis):
-    vec = np.zeros(dim)
-    vec[axis] = 1.0
-    return TensorField.constant(dim, "u", vec)
-
-
 ORIGIN = Point([0.0, 0.0, 0.0, 0.0])
+
+
+def single_point(p):
+    return Grid(center=list(as_point(p).coords), half_width=0.0, points_per_axis=1)
+
+
+def curvature(ctx, p, i=0, j=1):
+    """v([h xi_i, h xi_j]): the vector the frobenius-curvature residual bounds."""
+    return ctx.projector_v(p) @ ctx.frame_bracket(i, j, "h", "h", p)
 
 
 # ---------------------------------------------------------------------------
@@ -82,78 +83,64 @@ ORIGIN = Point([0.0, 0.0, 0.0, 0.0])
 
 def test_frobenius_zero_for_flat_case():
     ctx = ChartContext(canonical4(), euclid_metric())
-    out = frobenius_curvature(
-        coordinate_field(4, 0), coordinate_field(4, 1), ORIGIN, ctx)
-    assert np.max(np.abs(out)) < 1e-12
+    assert np.max(np.abs(curvature(ctx, ORIGIN))) < 1e-12
+    assert equivalence_condition_values(ctx, ORIGIN)["frobenius-curvature"] < 1e-12
 
 
 def test_frobenius_shear_value_at_origin():
     # independent oracle: xi_1 = (1/(1-f^2))(d1 - f d3), xi_2 = d2, so
     # [xi_1, xi_2](0) = f'(0) d3 = (1/pi) d3 and v(0) = diag(0,0,1,1)
     ctx = ChartContext(canonical4(), shear_metric())
-    out = frobenius_curvature(ctx.frame[0], ctx.frame[1], ORIGIN, ctx)
-    assert np.allclose(out, [0.0, 0.0, INV_PI, 0.0], atol=1e-8)
+    assert np.allclose(curvature(ctx, ORIGIN), [0.0, 0.0, INV_PI, 0.0], atol=1e-8)
+    vals = equivalence_condition_values(ctx, ORIGIN)
+    assert vals["frobenius-curvature"] == pytest.approx(INV_PI, abs=1e-8)
 
 
 def test_frobenius_antisymmetric_and_in_leaf_image():
     ctx = ChartContext(canonical4(), shear_metric())
     p = Point([0.2, 0.4, -0.1, 0.3])
-    ab = frobenius_curvature(ctx.frame[0], ctx.frame[1], p, ctx)
-    ba = frobenius_curvature(ctx.frame[1], ctx.frame[0], p, ctx)
+    ab = curvature(ctx, p, 0, 1)
+    ba = curvature(ctx, p, 1, 0)
     assert np.allclose(ab, -ba, atol=1e-9)
     assert np.allclose(ctx.projector_v(p) @ ab, ab, atol=1e-9)
 
 
 def test_frobenius_same_argument_vanishes():
     ctx = ChartContext(canonical4(), shear_metric())
-    out = frobenius_curvature(ctx.frame[0], ctx.frame[0], ORIGIN, ctx)
-    assert np.max(np.abs(out)) == 0.0
+    assert np.max(np.abs(curvature(ctx, ORIGIN, 0, 0))) == 0.0
 
 
 def test_frobenius_scales_linearly():
-    ctx = ChartContext(canonical4(), shear_metric())
-    doubled = TensorField(4, "u", lambda q: 2.0 * ctx.frame[0].components(q))
-    a = frobenius_curvature(ctx.frame[0], ctx.frame[1], ORIGIN, ctx)
-    b = frobenius_curvature(doubled, ctx.frame[1], ORIGIN, ctx)
-    assert np.allclose(b, 2.0 * a, atol=1e-9)
+    # a constant coframe gauge doubles xi_1, and the curvature is tensorial
+    p = Point([0.1, 0.3, -0.2, 0.4])
+    base = ChartContext(canonical4(), shear_metric())
+    doubled_ps = PoissonStructure(
+        canonical_bivector(4, 2),
+        [dsl.scalar_field("x1", 4), dsl.scalar_field("x2", 4)],
+        2, coframe_scales=[2.0, 1.0])
+    doubled = ChartContext(doubled_ps, shear_metric())
+    assert np.allclose(curvature(doubled, p), 2.0 * curvature(base, p), atol=1e-9)
+    assert equivalence_condition_values(doubled, p)["frobenius-curvature"] == \
+        pytest.approx(2.0 * equivalence_condition_values(base, p)["frobenius-curvature"],
+                      abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # Nijenhuis torsion
 
-def test_nijenhuis_identity_operator_vanishes():
-    ident = TensorField.constant(4, "ul", np.eye(4))
-    x = dsl.expr_field(4, "u", ["x2^2", "sin(x1)", "x3*x4", "1"])
-    y = dsl.expr_field(4, "u", ["exp(x4/4)", "x1", "0", "x2"])
-    out = nijenhuis_torsion(ident, x, y, Point([0.3, -0.2, 0.5, 0.1]))
-    # the applied fields J@X fall back to stencil jacobians, so the four
-    # bracket terms cancel only to derivative accuracy, not bit-exactly
-    assert np.max(np.abs(out)) < 1e-10
-
-
 def test_nijenhuis_projector_flat_case():
     ctx = ChartContext(canonical4(), euclid_metric())
-    out = nijenhuis_torsion(ctx.projector_field("v"), ctx.frame[0],
-                            ctx.frame[1], ORIGIN)
-    assert np.max(np.abs(out)) < 1e-12
+    assert equivalence_condition_values(ctx, ORIGIN)["nijenhuis-torsion"] < 1e-12
 
 
 def test_nijenhuis_matches_frobenius_on_frame():
     # dual routes: the four-term torsion formula against v([h., h.])
     ctx = ChartContext(canonical4(), shear_metric())
     for coords in ([0.0] * 4, [0.1, 0.3, -0.2, 0.4]):
-        p = Point(coords)
-        torsion = nijenhuis_torsion(ctx.projector_field("v"), ctx.frame[0],
-                                    ctx.frame[1], p)
-        curvature = frobenius_curvature(ctx.frame[0], ctx.frame[1], p, ctx)
-        assert np.allclose(torsion, curvature, atol=1e-8)
-
-
-def test_nijenhuis_variance_validation():
-    bad = TensorField.constant(4, "uu", np.eye(4))
-    with pytest.raises(ValueError, match="mixed"):
-        nijenhuis_torsion(bad, coordinate_field(4, 0), coordinate_field(4, 1),
-                          ORIGIN)
+        vals = equivalence_condition_values(ctx, Point(coords))
+        assert vals["nijenhuis-torsion"] == pytest.approx(
+            vals["frobenius-curvature"], abs=1e-8)
+        assert vals["nijenhuis-torsion"] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +162,8 @@ def test_equivalence_values_shear_at_origin():
 
 
 def test_equivalence_reports_single_point():
-    reports = equivalence_condition_reports(
-        canonical4(), shear_metric(), ORIGIN)
+    v = verdict(canonical4(), shear_metric(), single_point(ORIGIN))
+    reports = [rep for rep in v.conditions if rep.condition in EQUIVALENCE_IDS]
     assert [rep.condition for rep in reports] == list(EQUIVALENCE_IDS)
     for rep in reports:
         assert len(rep.points) == 1
@@ -235,7 +222,8 @@ def test_verdict_invariant_under_positive_coframe_rescale():
 # sufficient-only conditions
 
 def test_sufficient_flat_case_holds():
-    reports = sufficient_condition_reports(canonical4(), euclid_metric(), ORIGIN)
+    v = verdict(canonical4(), euclid_metric(), single_point(ORIGIN))
+    reports = [rep for rep in v.conditions if rep.condition in SUFFICIENT_IDS]
     assert [rep.condition for rep in reports] == list(SUFFICIENT_IDS)
     for rep in reports:
         assert rep.label == "holds"
@@ -243,13 +231,12 @@ def test_sufficient_flat_case_holds():
 
 
 def test_sufficient_shear_inconclusive():
-    reports = sufficient_condition_reports(canonical4(), shear_metric(), ORIGIN)
-    by_id = {rep.condition: rep for rep in reports}
-    for rep in reports:
-        assert rep.label == "inconclusive"
-    parallel = by_id["parallel-bivector-on-kernel"]
+    v = verdict(canonical4(), shear_metric(), single_point(ORIGIN))
+    for cid in SUFFICIENT_IDS:
+        assert v.report(cid).label == "inconclusive"
+    parallel = v.report("parallel-bivector-on-kernel")
     assert parallel.max_residual == pytest.approx(INV_PI / 2, abs=1e-8)
-    coframe_rep = by_id["parallel-coframe"]
+    coframe_rep = v.report("parallel-coframe")
     assert coframe_rep.extras["premise_max_residual"] > 1e-3
 
 
@@ -257,19 +244,24 @@ def test_sufficient_shear_inconclusive():
 # co-vanishing of the two leaf-component routes
 
 def test_covanishing_flat_case():
-    rep = covanishing_consistency(
-        canonical4(), euclid_metric(), Grid.cube([0.0] * 4, 1.0, 2))
-    assert rep.holds
+    v = verdict(canonical4(), euclid_metric(), Grid.cube([0.0] * 4, 1.0, 2))
+    rep = v.report("kernel-image-covanishing")
+    assert rep.holds and not rep.binding
     assert max(rep.extras["bivector_route_norms"]) < 1e-9
     assert max(rep.extras["torsion_route_norms"]) < 1e-9
 
 
 def test_covanishing_shear_both_routes_large():
-    rep = covanishing_consistency(
-        canonical4(), shear_metric(), Grid.cube([0.0] * 4, 1 / 3, 2))
+    v = verdict(canonical4(), shear_metric(), Grid.cube([0.0] * 4, 1 / 3, 2))
+    rep = v.report("kernel-image-covanishing")
     assert rep.holds  # both routes vanish or not together
     assert min(rep.extras["bivector_route_norms"]) > 1e-3
     assert min(rep.extras["torsion_route_norms"]) > 1e-3
+    # the routes are the bracket-closure and torsion residuals themselves
+    assert rep.extras["bivector_route_norms"] == \
+        v.report("coframe-bracket-closure").residuals
+    assert rep.extras["torsion_route_norms"] == \
+        v.report("nijenhuis-torsion").residuals
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +280,57 @@ def test_block_form_gate():
 
 
 def test_chart_symmetry_flat_and_shear():
-    rep = canonical_chart_symmetry(canonical4(), euclid_metric(), ORIGIN)
-    assert rep.max_residual == 0.0
-    # hand expansion: Gamma_{102} - Gamma_{012} = -f'(0), so residual 1/pi
-    rep = canonical_chart_symmetry(canonical4(), shear_metric(), ORIGIN)
-    assert rep.max_residual == pytest.approx(INV_PI, abs=1e-12)
-    assert rep.label == "fails"
+    assert canonical_chart_symmetry(
+        ChartContext(canonical4(), euclid_metric()), ORIGIN) == 0.0
+    # hand expansion: Gamma_{102} - Gamma_{012} = -f'(0) and the frame is
+    # the coordinate frame at the origin, so the residual is 1/pi
+    residual = canonical_chart_symmetry(
+        ChartContext(canonical4(), shear_metric()), ORIGIN)
+    assert residual == pytest.approx(INV_PI, abs=1e-12)
+    assert residual > DEFAULT_TOL_SYMBOLIC
 
 
 def test_chart_symmetry_refuses_noncanonical_bivector():
     half_metric = MetricField.from_contravariant(2.0 * np.eye(3))
     with pytest.raises(GeometryError, match="canonical"):
-        canonical_chart_symmetry(so3_structure(), half_metric, [0.0, 0.0, 1.0])
+        canonical_chart_symmetry(ChartContext(so3_structure(), half_metric),
+                                 [0.0, 0.0, 1.0])
+
+
+_TRANSVERSAL_LEAF_ATOMS = ("1", "x1", "x2", "x3", "x4", "x1*x3", "x2*x4",
+                           "sin(x2)", "cos(x1)", "atan(x3)")
+
+
+@st.composite
+def transversal_leaf_metrics(draw):
+    """Diagonally dominant metrics with every g_{It} (I transversal, t leaf)
+    nonzero, the case where coordinate-index Christoffel symmetry is not
+    equivalent to integrability."""
+    entries = [["0"] * 4 for _ in range(4)]
+    for i in range(4):
+        c = draw(st.floats(-0.2, 0.2))
+        atom = draw(st.sampled_from(_TRANSVERSAL_LEAF_ATOMS[1:]))
+        entries[i][i] = f"1 + {c!r}*({atom})"
+    for i in range(4):
+        for j in range(i + 1, 4):
+            lo = 0.02 if i < 2 <= j else 0.0
+            c = draw(st.floats(lo, 0.1)) * draw(st.sampled_from((-1.0, 1.0)))
+            atom = draw(st.sampled_from(_TRANSVERSAL_LEAF_ATOMS))
+            entries[i][j] = entries[j][i] = f"{c!r}*({atom})"
+    return MetricField.from_entries(4, entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(transversal_leaf_metrics(),
+       st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
+def test_chart_symmetry_matches_bracket_closure(metric, coords):
+    # in a canonical chart both residuals are max_t |theta_t([xi_1, xi_2])|
+    # with theta_t = g(d_t, .), so they agree up to rounding at every point
+    ctx = ChartContext(canonical4(), metric)
+    p = Point(coords)
+    closure = equivalence_condition_values(ctx, p)["coframe-bracket-closure"]
+    assert canonical_chart_symmetry(ctx, p) == pytest.approx(
+        closure, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

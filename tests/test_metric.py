@@ -8,7 +8,7 @@ from poisson_ortho.errors import DegeneracyError
 from poisson_ortho.geometry import DerivativeScheme, Grid, Point, TensorField
 from poisson_ortho.metric import (
     MetricField, christoffel, covariant_derivative_bivector,
-    covariant_derivative_oneform, flat, inverse_metric, laplacian,
+    covariant_derivative_oneform, inverse_metric, laplacian,
     lie_derivative_metric, sharp, sharp_field,
 )
 
@@ -216,7 +216,8 @@ def test_sharp_flat_roundtrip():
     p = Point([0.3, -0.6, 0.8, 0.1])
     for _ in range(5):
         w = rng.normal(size=4)
-        assert np.allclose(flat(m, sharp(m, w, p), p), w, atol=1e-10)
+        # lowering is contraction with the covariant components
+        assert np.allclose(m.components(p) @ sharp(m, w, p), w, atol=1e-10)
 
 
 def test_sharp_with_exchange_matrix_swaps_blocks():

@@ -1,18 +1,22 @@
-"""Poisson structure validation, orthogonal frames, and projectors."""
+"""Poisson structure validation, orthogonal frames, and projectors.
+
+Frames and projectors are read from ``ChartContext``; the reference values
+are closed forms or small numpy constructions written out in the tests.
+"""
 
 import numpy as np
 import pytest
 
 from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
-from poisson_ortho.errors import ConfigError, DegeneracyError, RegularityError
+from poisson_ortho.errors import DegeneracyError, RegularityError
 from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, Grid, Point, TensorField
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import (
-    DistributionFrame, PoissonStructure, bivector_rank, canonical_bivector,
-    casimir_coframe, coframe_fields, independent_columns, leaf_basis,
-    leaf_operator, orthogonal_frame, projectors, validate_poisson,
+    PoissonStructure, bivector_rank, canonical_bivector, coframe_fields,
+    independent_columns, validate_poisson,
 )
+from poisson_ortho.scenarios import ScenarioConfig, run
 
 
 def canonical4():
@@ -154,25 +158,33 @@ def test_coframe_scale_expression_and_field():
     assert np.allclose(ws2[0].components(p), [0.5, 0, 0, 0])
 
 
+def _canonical_config(casimirs) -> ScenarioConfig:
+    structure = PoissonStructure(
+        canonical_bivector(4, 2),
+        [dsl.scalar_field(c, 4) for c in casimirs], 2)
+    return ScenarioConfig(
+        name="casimir-check", structure=structure,
+        metric=MetricField.from_contravariant(np.eye(4)),
+        grid=Grid.cube([1.0, 1.0, 0.0, 0.0], 0.5, 2))
+
+
 def test_casimir_coframe_checks_annihilation():
-    biv = canonical_bivector(4, 2)
-    bad = PoissonStructure(
-        biv, [dsl.scalar_field("x1", 4), dsl.scalar_field("x3", 4)], 2)
-    with pytest.raises(ConfigError, match="not annihilated"):
-        casimir_coframe(bad, [0.0, 0.0, 0.0, 0.0])
+    # x3 is not invariant: the run is invalid through casimir-annihilation
+    report = run(_canonical_config(["x1", "x3"]))
+    assert report.exit_code == 2
+    assert report.verdict is None
+    assert not report.validation.casimir_annihilation.holds
+    assert report.validation.antisymmetry.holds and report.validation.jacobi.holds
 
 
 def test_casimir_coframe_checks_independence():
-    biv = canonical_bivector(4, 2)
-    dep = PoissonStructure(
-        biv, [dsl.scalar_field("x1", 4), dsl.scalar_field("2*x1", 4)], 2)
-    with pytest.raises(DegeneracyError, match="dependent"):
-        casimir_coframe(dep, [1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(DegeneracyError, match="degenerate"):
+        run(_canonical_config(["x1", "2*x1"]))
 
 
 def test_casimir_coframe_values_so3():
-    rows = casimir_coframe(so3_structure(), [0.1, -0.2, 1.0])
-    assert np.allclose(rows, [[0.2, -0.4, 2.0]])
+    ctx = ChartContext(so3_structure(), MetricField.from_contravariant(np.eye(3)))
+    assert np.allclose(ctx.coframe_at([0.1, -0.2, 1.0]), [[0.2, -0.4, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -180,41 +192,38 @@ def test_casimir_coframe_values_so3():
 
 def test_orthogonal_frame_shear_metric():
     # raising dx1 through the sheared metric tilts the frame into -x3
-    frame = orthogonal_frame(canonical4(), shear_metric(), [0.0, 1.0, 0.0, 0.0])
+    ctx = ChartContext(canonical4(), shear_metric())
     p = Point([0.0, 1.0, 0.0, 0.0])  # f = atan(1)/pi = 1/4 here
-    xi1 = frame.vectors[0].components(p)
-    xi2 = frame.vectors[1].components(p)
-    assert np.allclose(xi1, [16 / 15, 0.0, -4 / 15, 0.0])
-    assert np.allclose(xi2, [0.0, 1.0, 0.0, 0.0])
-    gram = frame.gram(p)
-    assert np.allclose(gram, [[16 / 15, 0.0], [0.0, 1.0]])
-    assert frame.codim == 2
-    assert frame.frame_matrix(p).shape == (4, 2)
-    assert frame.coframe_matrix(p).shape == (2, 4)
+    frame = ctx.frame_at(p)
+    assert frame.shape == (4, 2)
+    assert np.allclose(frame[:, 0], [16 / 15, 0.0, -4 / 15, 0.0])
+    assert np.allclose(frame[:, 1], [0.0, 1.0, 0.0, 0.0])
+    assert np.allclose(ctx.gram_at(p), [[16 / 15, 0.0], [0.0, 1.0]])
+    assert ctx.coframe_at(p).shape == (2, 4)
 
 
 def test_frame_is_metric_orthogonal_to_leaf():
     m = shear_metric()
-    frame = orthogonal_frame(canonical4(), m, [0.4, -0.3, 1.0, 2.0])
+    ctx = ChartContext(canonical4(), m)
     p = Point([0.4, -0.3, 1.0, 2.0])
-    g = m.components(p)
-    B, _ = leaf_basis(canonical4(), p)
-    for v in frame.vectors:
-        assert np.max(np.abs(B.T @ g @ v.components(p))) < 1e-12
+    P = ctx.bivector_at(p)
+    B = P[:, independent_columns(P)]
+    assert np.max(np.abs(B.T @ m.components(p) @ ctx.frame_at(p))) < 1e-12
 
 
 def test_orthogonal_frame_degenerate_gram():
     # indefinite metric: the frame gram collapses on the cone x1^2/8+x2*x3/2=0
+    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
     with pytest.raises(DegeneracyError, match="degenerate"):
-        orthogonal_frame(sl2r_structure(), sl2r_killing_metric(), [0.0, 1.0, 0.0])
+        ctx.gram_inv_at([0.0, 1.0, 0.0])
 
 
 def test_orthogonal_frame_sl2r_generic_point():
-    frame = orthogonal_frame(sl2r_structure(), sl2r_killing_metric(), [1.0, 0.0, 0.0])
+    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
     p = Point([1.0, 0.0, 0.0])
     # frame vector is 2*lambda and the gram is 4x the invariant function
-    assert np.allclose(frame.vectors[0].components(p), [2.0, 0.0, 0.0])
-    assert np.allclose(frame.gram(p), [[0.5]])
+    assert np.allclose(ctx.frame_at(p)[:, 0], [2.0, 0.0, 0.0])
+    assert np.allclose(ctx.gram_at(p), [[0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -233,44 +242,41 @@ def test_independent_columns_deterministic():
 
 
 def test_leaf_basis_canonical():
-    B, cols = leaf_basis(canonical4(), [0.0, 0.0, 0.0, 0.0])
+    P = canonical4().bivector.components(Point([0.0, 0.0, 0.0, 0.0]))
+    cols = independent_columns(P)
     assert cols == [2, 3]
-    assert B.shape == (4, 2)
-    assert np.allclose(B[:, 0], [0, 0, 0, -1])
-    assert np.allclose(B[:, 1], [0, 0, 1, 0])
+    assert np.allclose(P[:, 2], [0, 0, 0, -1])
+    assert np.allclose(P[:, 3], [0, 0, 1, 0])
 
 
 def test_leaf_operator_kernel_and_image():
-    ps = canonical4()
-    m = shear_metric()
+    # A = P g: kernel the orthogonal distribution, image the leaf tangent
+    ctx = ChartContext(canonical4(), shear_metric())
     p = Point([0.2, 0.5, -1.0, 3.0])
-    A = leaf_operator(ps, m, p)
-    frame = orthogonal_frame(ps, m, p)
-    for v in frame.vectors:
-        assert np.max(np.abs(A @ v.components(p))) < 1e-12
+    A = ctx.bivector_at(p) @ ctx.metric_at(p)
+    assert np.max(np.abs(A @ ctx.frame_at(p))) < 1e-12
     assert bivector_rank(A) == 2
 
 
 def test_projectors_split_identity():
-    ps = canonical4()
     m = shear_metric()
+    ctx = ChartContext(canonical4(), m)
     p = Point([0.1, 0.8, 0.0, -2.0])
-    v, h = projectors(ps, m, p)
+    v, h = ctx.projector_v(p), ctx.projector_h(p)
     assert np.allclose(v + h, np.eye(4))
     assert np.allclose(v @ v, v)
     assert np.allclose(h @ h, h)
-    # v fixes the leaf basis, h kills it; the opposite for the frame
-    B, _ = leaf_basis(ps, p)
-    assert np.allclose(v @ B, B)
-    assert np.max(np.abs(h @ B)) < 1e-12
-    frame = orthogonal_frame(ps, m, p)
-    for vec in frame.vectors:
-        val = vec.components(p)
-        assert np.allclose(h @ val, val)
-        assert np.max(np.abs(v @ val)) < 1e-12
+    # v fixes the bivector columns, h kills them; the opposite for the frame
+    P = ctx.bivector_at(p)
+    assert np.allclose(v @ P, P)
+    assert np.max(np.abs(h @ P)) < 1e-12
+    frame = ctx.frame_at(p)
+    assert np.allclose(h @ frame, frame)
+    assert np.max(np.abs(v @ frame)) < 1e-12
     # g-self-adjoint: g v = (g v)^T
     g = m.components(p)
     assert np.allclose(g @ v, (g @ v).T)
+    assert np.allclose(g @ h, (g @ h).T)
 
 
 def test_projectors_rank_mismatch():
@@ -283,13 +289,16 @@ def test_projectors_rank_mismatch():
         ]),
         [dsl.scalar_field("x3", 4), dsl.scalar_field("x4", 4)],
         expected_rank=2)
+    at_zero = Grid(center=[0.0, 5.0, 0.0, 0.0], half_width=0.0, points_per_axis=1)
     with pytest.raises(RegularityError) as err:
-        projectors(ps, MetricField.constant(np.eye(4)), [0.0, 5.0, 0.0, 0.0])
+        validate_poisson(ps, at_zero)
     assert "rank 0" in str(err.value)
     assert len(err.value.points) == 1
     # fine away from the degeneracy locus
-    v, h = projectors(ps, MetricField.constant(np.eye(4)), [2.0, 5.0, 0.0, 0.0])
-    assert np.allclose(v + h, np.eye(4))
+    ctx = ChartContext(ps, MetricField.constant(np.eye(4)))
+    p = Point([2.0, 5.0, 0.0, 0.0])
+    assert np.allclose(ctx.projector_v(p) + ctx.projector_h(p), np.eye(4))
+    assert np.allclose(ctx.projector_v(p), np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +374,21 @@ def test_validate_poisson_fd_scheme():
 # chart context
 
 def test_context_matches_pointwise_constructions():
+    # reference: the leaf projector from a column-pivoted leaf basis B of P,
+    # v = B (B^T g B)^{-1} B^T g, and the frame g^{-1} dc^i of x1, x2
     ps = canonical4()
     m = shear_metric()
     ctx = ChartContext(ps, m)
     p = Point([0.3, 0.9, -0.4, 1.1])
-    v, h = projectors(ps, m, p)
-    assert np.allclose(ctx.projector_h(p), h, atol=1e-12)
+    P = ps.bivector.components(p)
+    g = m.components(p)
+    B = P[:, independent_columns(P)]
+    v = B @ np.linalg.inv(B.T @ g @ B) @ B.T @ g
     assert np.allclose(ctx.projector_v(p), v, atol=1e-12)
-    assert np.allclose(ctx.leaf_operator_at(p), leaf_operator(ps, m, p))
-    frame = DistributionFrame(covectors=ctx.coframe, vectors=ctx.frame)
-    assert np.allclose(ctx.gram_at(p), frame.gram(p))
-    assert np.allclose(ctx.frame_at(p), frame.frame_matrix(p))
+    assert np.allclose(ctx.projector_h(p), np.eye(4) - v, atol=1e-12)
+    frame = np.linalg.inv(g)[:, :2]
+    assert np.allclose(ctx.frame_at(p), frame)
+    assert np.allclose(ctx.gram_at(p), frame.T @ g @ frame)
     assert np.allclose(ctx.metric_inv_at(p) @ ctx.metric_at(p), np.eye(4),
                        atol=1e-12)
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from poisson_ortho import cli
 from poisson_ortho.cli import main
 from poisson_ortho.errors import ConfigError
 from poisson_ortho.scenarios import (
@@ -335,6 +336,31 @@ def test_cli_degenerate_grid_exits_two(capsys):
                  "--grid-half-width", "0", "--grid-points", "1"])
     assert code == 2
     assert "invalid run" in capsys.readouterr().err
+
+
+def test_cli_overflowing_constant_is_not_a_verdict(tmp_path, capsys):
+    # differentiating (1e-200)^-1 folds 1e-200 ** -2, past the float range;
+    # an error escaping main would exit 1, the code of a non-integrable verdict
+    doc = chart_config(metric={"kind": "matrix", "entries": [
+        ["1 + x1*(1e-200)^-1*1e-200", "0", "0", "0"],
+        ["0", "1", "0", "0"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"],
+    ]})
+    code = main(["check", write_config(tmp_path, doc)])
+    assert code != 1
+    assert code in (0, 2, 3)
+    capsys.readouterr()
+
+
+def test_cli_unexpected_exception_exits_two(monkeypatch, capsys):
+    def crash(config):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "run", crash)
+    assert main(["check", "euclid4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid run: unexpected RuntimeError: boom second line\n"
 
 
 def test_cli_scheme_override():
