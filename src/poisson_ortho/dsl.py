@@ -16,7 +16,11 @@ Grammar (precedence climbing; '^' binds tightest, then unary minus, then
 
 Syntax errors carry the byte offset into the source. Evaluation faults
 (division by zero, sqrt of a negative) raise ExprDomainError naming the
-offending subexpression.
+offending subexpression. ``evaluate`` takes one coordinate vector or an
+(n, dim) array of points, which it evaluates with one numpy operation per
+node; powers and functions use the same libm routines as Python's float
+arithmetic, so a batch gives each point the value a scalar evaluation
+gives.
 
 The AST is closed under differentiation: ``differentiate`` returns another
 AST built through folding constructors. Only constant folding is performed;
@@ -29,6 +33,7 @@ of a derivative at points where the original expression is undefined.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExprDomainError, ExprSyntaxError
-from .geometry import DEFAULT_SCHEME, Point, TensorField, partial_derivative
+from .geometry import DEFAULT_SCHEME, Point, Points, TensorField, partial_derivative
 
 FUNCTIONS = ("sin", "cos", "exp", "atan", "sqrt")
 
@@ -145,7 +150,7 @@ def neg(a: Expr) -> Expr:
 
 def add(a: Expr, b: Expr) -> Expr:
     ca, cb = _as_const(a), _as_const(b)
-    if ca is not None and cb is not None:
+    if ca is not None and cb is not None and math.isfinite(ca + cb):
         return lit(ca + cb)
     if _is_zero(a):
         return b
@@ -156,7 +161,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     ca, cb = _as_const(a), _as_const(b)
-    if ca is not None and cb is not None:
+    if ca is not None and cb is not None and math.isfinite(ca - cb):
         return lit(ca - cb)
     if _is_zero(b):
         return a
@@ -167,7 +172,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     ca, cb = _as_const(a), _as_const(b)
-    if ca is not None and cb is not None:
+    if ca is not None and cb is not None and math.isfinite(ca * cb):
         return lit(ca * cb)
     if _is_zero(a) or _is_zero(b):
         return Lit(0.0)
@@ -180,7 +185,8 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 def div(a: Expr, b: Expr) -> Expr:
     ca, cb = _as_const(a), _as_const(b)
-    if ca is not None and cb is not None and cb != 0.0:
+    if (ca is not None and cb is not None and cb != 0.0
+            and math.isfinite(ca / cb)):
         return lit(ca / cb)
     if _is_zero(a) and cb is not None and cb != 0.0:
         return Lit(0.0)
@@ -346,29 +352,52 @@ def parse(source: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(e: Expr, coords) -> float:
-    """Evaluate at a coordinate vector (or Point). Returns a float."""
-    if isinstance(coords, Point):
+def evaluate(e: Expr, coords):
+    """Evaluate at a coordinate vector (or Point), giving a float, or at
+    every row of an (n, dim) array, giving an (n,) array."""
+    if isinstance(coords, (Point, Points)):
         coords = coords.coords
-    else:
-        coords = np.asarray(coords, dtype=float)
-    value = _eval(e, coords)
-    if not math.isfinite(value):
+    coords = np.asarray(coords, dtype=float)
+    batch = coords if coords.ndim == 2 else coords.reshape(1, -1)
+    with np.errstate(all="ignore"):
+        value = _eval(e, batch)
+    if not np.isfinite(value).all():
         raise ExprDomainError("expression value is not finite", where=to_text(e))
-    return value
+    if coords.ndim != 2:
+        return float(np.ravel(value)[0])
+    if np.ndim(value) == 0:
+        return np.full(len(batch), float(value))
+    return np.array(value, dtype=float)
 
 
-def _eval(e: Expr, coords) -> float:
+def _libm(fn, arg):
+    """fn applied elementwise through Python's math module.
+
+    numpy's vectorized exp and atan can differ from libm in the last bit,
+    and nested stencils amplify such a bit by step^-2, so the batch path
+    keeps the values a scalar evaluation gives.
+    """
+    if np.ndim(arg) == 0:
+        return fn(float(arg))
+    return np.fromiter(map(fn, arg.tolist()), dtype=float, count=arg.size)
+
+
+_CALLS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan}
+
+
+def _eval(e: Expr, coords):
+    """Value of e at every row of coords: an (n,) array, or a scalar when
+    e is constant."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Pi):
         return math.pi
     if isinstance(e, Var):
-        if e.axis >= coords.size:
+        if e.axis >= coords.shape[1]:
             raise ExprDomainError(
-                f"variable x{e.axis + 1} exceeds chart dimension {coords.size}",
+                f"variable x{e.axis + 1} exceeds chart dimension {coords.shape[1]}",
                 where=to_text(e), offset=e.offset)
-        return float(coords[e.axis])
+        return coords[:, e.axis]
     if isinstance(e, Neg):
         return -_eval(e.operand, coords)
     if isinstance(e, BinOp):
@@ -380,34 +409,32 @@ def _eval(e: Expr, coords) -> float:
             return a - b
         if e.op == "*":
             return a * b
-        if b == 0.0:
+        if np.equal(b, 0.0).any():
             raise ExprDomainError("division by zero", where=to_text(e), offset=e.offset)
         return a / b
     if isinstance(e, Pow):
         base = _eval(e.base, coords)
-        if base == 0.0 and e.power < 0:
+        if e.power < 0 and np.equal(base, 0.0).any():
             raise ExprDomainError("zero raised to a negative power",
                                   where=to_text(e), offset=e.offset)
-        try:
-            return float(base ** e.power)
-        except OverflowError:
+        # float_power calls libm pow, as Python's float ** int does
+        value = np.float_power(base, e.power)
+        overflow = np.isinf(value)
+        if overflow.any() and (overflow & np.isfinite(base)).any():
             raise ExprDomainError("overflow in power", where=to_text(e), offset=e.offset)
+        return value
     if isinstance(e, Call):
         arg = _eval(e.arg, coords)
-        if e.func == "sin":
-            return math.sin(arg)
-        if e.func == "cos":
-            return math.cos(arg)
-        if e.func == "atan":
-            return math.atan(arg)
-        if e.func == "exp":
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise ExprDomainError("overflow in exp", where=to_text(e), offset=e.offset)
-        if arg < 0.0:
-            raise ExprDomainError("sqrt of a negative value", where=to_text(e), offset=e.offset)
-        return math.sqrt(arg)
+        if e.func == "sqrt":
+            if np.less(arg, 0.0).any():
+                raise ExprDomainError("sqrt of a negative value",
+                                      where=to_text(e), offset=e.offset)
+            return np.sqrt(arg)
+        try:
+            return _libm(_CALLS[e.func], arg)
+        except OverflowError:
+            raise ExprDomainError(f"overflow in {e.func}", where=to_text(e),
+                                  offset=e.offset) from None
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -475,7 +502,7 @@ def fold(e: Expr) -> Expr:
         c = _as_const(arg)
         if c is not None:
             try:
-                return lit(_eval(Call(e.func, lit(c)), np.empty(0)))
+                return lit(evaluate(Call(e.func, lit(c)), []))
             except ExprDomainError:
                 pass
         return Call(e.func, arg)
@@ -588,12 +615,28 @@ def expr_field(dim: int, variance: str, entries) -> ExprTensorField:
                 f"component {idx} references x{max(used) + 1} beyond dimension {dim}")
 
     derivative_cache = {}
-    indices = list(np.ndindex(expected))  # ndindex is costly in hot loops
 
-    def evaluate_at(p: Point):
-        out = np.empty(expected, dtype=float)
-        for idx in indices:
-            out[idx] = evaluate(exprs[idx], p.coords)
+    @functools.cache
+    def plan():
+        # literal components are filled in from one array; the others are
+        # evaluated, one slice per component. Built on first evaluation, so
+        # loading a scenario does not pay for it.
+        literals = np.zeros(expected)
+        slots = []
+        for idx in np.ndindex(expected):
+            c = _as_const(exprs[idx])
+            if c is not None and math.isfinite(c):
+                literals[idx] = c
+            else:
+                slots.append((exprs[idx], (slice(None),) + idx))
+        return literals, slots
+
+    def evaluate_at(coords):
+        literals, slots = plan()
+        out = np.empty((len(coords),) + expected, dtype=float)
+        out[...] = literals
+        for expr, slot in slots:
+            out[slot] = evaluate(expr, coords)
         return out
 
     def partial_builder(axis: int) -> TensorField:
@@ -629,9 +672,8 @@ def gradient_field(scalar: TensorField, scheme=None) -> TensorField:
         e = scalar.exprs[()]
         return expr_field(dim, "l", [differentiate(e, a) for a in range(dim)])
 
-    def evaluate_fd(p: Point):
-        return np.array([
-            partial_derivative(scalar, p, a, used_scheme)[()] for a in range(dim)
-        ])
+    def evaluate_fd(coords):
+        return np.stack([partial_derivative(scalar, coords, a, used_scheme)
+                         for a in range(dim)], axis=-1)
 
     return TensorField(dim, "l", evaluate_fd)

@@ -5,6 +5,12 @@ arrays; a tensor field is its component function plus a variance signature,
 one character per slot: 'u' for an upper (contravariant) index, 'l' for a
 lower (covariant) one, '' for scalars. Axes are 0-based throughout the API;
 the expression language's variable names x1..xN map to axes 0..N-1.
+
+Evaluation is batched over points. Functions that take a point accept a
+``Point`` or a coordinate vector, and return arrays without a point axis;
+given a ``Points`` batch or an (n, dim) coordinate array they return
+arrays with a leading axis of length n. A single point is evaluated as a
+batch of one, so both go through the same code.
 """
 
 from __future__ import annotations
@@ -58,6 +64,63 @@ def as_point(p) -> Point:
     return p if isinstance(p, Point) else Point(p)
 
 
+class Points:
+    """An immutable batch of chart points: coordinates of shape (n, dim).
+
+    Iterating or indexing yields ``Point`` objects, so a batch reads like
+    the list of its points.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        arr = np.array(coords, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] == 0:
+            raise ValueError("a point batch is an (n, dim) coordinate array")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coords", arr)
+
+    def __len__(self):
+        return self.coords.shape[0]
+
+    def __getitem__(self, index) -> Point:
+        return Point(self.coords[index])
+
+    def __iter__(self):
+        return (Point(c) for c in self.coords)
+
+
+def as_batch(p):
+    """(coords, single): the (n, dim) coordinates of p, and whether p was one point.
+
+    A ``Points`` batch or a 2-d array is a batch; a ``Point`` or a
+    coordinate vector is a batch of one that callers unwrap with ``unbatch``.
+    """
+    if isinstance(p, Points):
+        return p.coords, False
+    if not isinstance(p, Point):
+        arr = np.asarray(p, dtype=float)
+        if arr.ndim == 2:
+            return arr, False
+        p = Point(arr)
+    return p.coords[None, :], True
+
+
+def unbatch(value, single: bool):
+    """Drop the point axis of a batch-of-one result."""
+    return value[0] if single else value
+
+
+def pointwise_max_abs(values: np.ndarray) -> np.ndarray:
+    """Max |value| at each point of a batch array, over all but the point axis."""
+    return np.max(np.abs(values).reshape(len(values), -1), axis=1, initial=0.0)
+
+
+def matvec(matrix, vector):
+    """Matrix times vector, pointwise over any leading axes."""
+    return np.einsum("...mn,...n->...m", matrix, vector)
+
+
 @dataclass(frozen=True)
 class DerivativeScheme:
     """How partial derivatives are taken.
@@ -65,7 +128,7 @@ class DerivativeScheme:
     kind 'symbolic-when-available' uses a field's exact derivative when the
     field can provide one and otherwise falls back to the 4th-order central
     stencil; the two 'central-*' kinds force finite differences everywhere.
-    The stencil step is ``step * max(1, |x_axis|)`` per coordinate.
+    The stencil step is ``step * max(1, |x_axis|)`` per point.
     """
 
     kind: str = SYMBOLIC
@@ -77,8 +140,9 @@ class DerivativeScheme:
         if not (0.0 < self.step < 1.0):
             raise ValueError("derivative step must lie in (0, 1)")
 
-    def step_for(self, coordinate: float) -> float:
-        return self.step * max(1.0, abs(coordinate))
+    def step_for(self, coordinate):
+        """Stencil step at a coordinate value, or elementwise over an array."""
+        return self.step * np.maximum(1.0, np.abs(coordinate))
 
 
 DEFAULT_SCHEME = DerivativeScheme()
@@ -87,11 +151,12 @@ DEFAULT_SCHEME = DerivativeScheme()
 class TensorField:
     """A tensor field given by its component function.
 
-    ``evaluate`` maps a Point to an ndarray of shape (dim,) * len(variance).
-    ``partial`` is an optional exact-derivative hook: axis -> TensorField of
-    the same variance holding the componentwise partial derivative. Fields
-    built from parsed expressions or constant arrays provide it; generic
-    numeric closures do not and are differenced instead.
+    ``evaluate`` maps an (n, dim) coordinate array to the array of shape
+    (n,) + (dim,) * len(variance) holding the components at all n points. ``partial`` is an optional
+    exact-derivative hook: axis -> TensorField of the same variance holding
+    the componentwise partial derivative. Fields built from parsed
+    expressions or constant arrays provide it; generic numeric closures do
+    not and are differenced instead.
     """
 
     __slots__ = ("dim", "variance", "_evaluate", "_partial", "_constant")
@@ -122,7 +187,8 @@ class TensorField:
                 zero = cls.constant(dim, variance, np.zeros(expected))
             return zero
 
-        return cls(dim, variance, lambda p: arr, partial=make_zero, constant=arr)
+        return cls(dim, variance, lambda q: np.broadcast_to(arr, (len(q),) + expected),
+                   partial=make_zero, constant=arr)
 
     @classmethod
     def zero(cls, dim, variance) -> "TensorField":
@@ -145,15 +211,17 @@ class TensorField:
         return self._partial is not None
 
     def components(self, p) -> np.ndarray:
-        p = as_point(p)
-        if p.dim != self.dim:
-            raise ValueError(f"point dim {p.dim} != field dim {self.dim}")
-        out = np.asarray(self._evaluate(p), dtype=float)
-        if out.shape != self.shape:
-            raise ValueError(f"field produced shape {out.shape}, want {self.shape}")
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"non-finite field value at {p!r}", point=p)
-        return out
+        coords, single = as_batch(p)
+        if coords.shape[1] != self.dim:
+            raise ValueError(f"point dim {coords.shape[1]} != field dim {self.dim}")
+        out = np.asarray(self._evaluate(coords), dtype=float)
+        if out.shape != (len(coords),) + self.shape:
+            raise ValueError(f"field produced shape {out.shape[1:]}, want {self.shape}")
+        finite = np.isfinite(out).reshape(len(coords), -1).all(axis=1)
+        if not finite.all():
+            bad = Point(coords[int(np.argmin(finite))])
+            raise EvaluationError(f"non-finite field value at {bad!r}", point=bad)
+        return unbatch(out, single)
 
     def partial_field(self, axis: int) -> "TensorField | None":
         if self._partial is None:
@@ -162,33 +230,40 @@ class TensorField:
 
 
 def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """Componentwise d/dx^axis of the field at p.
+    """Componentwise d/dx^axis of the field at p (a point or a batch).
 
     Exact when the scheme allows it and the field carries a derivative hook;
-    otherwise a central stencil. Stencil evaluations that come back
-    non-finite raise EvaluationError at the offending stencil point.
+    otherwise a central stencil, which shifts the whole batch at once by
+    each point's own step. Stencil evaluations that come back non-finite
+    raise EvaluationError at the offending stencil point.
     """
-    p = as_point(p)
     if not (0 <= axis < field.dim):
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")
     if scheme.kind == SYMBOLIC and field.has_exact_derivative:
         return field.partial_field(axis).components(p)
-    h = scheme.step_for(p.coords[axis])
+    coords, single = as_batch(p)
+    h = scheme.step_for(coords[:, axis])
+
+    def at(delta):
+        shifted = coords.copy()
+        shifted[:, axis] += delta
+        return field.components(shifted)
+
+    h_out = h.reshape((-1,) + (1,) * len(field.variance))
     if scheme.kind == CENTRAL_2:
-        fp = field.components(p.shifted(axis, +h))
-        fm = field.components(p.shifted(axis, -h))
-        return (fp - fm) / (2.0 * h)
-    fm2 = field.components(p.shifted(axis, -2.0 * h))
-    fm1 = field.components(p.shifted(axis, -h))
-    fp1 = field.components(p.shifted(axis, +h))
-    fp2 = field.components(p.shifted(axis, +2.0 * h))
-    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+        out = (at(+h) - at(-h)) / (2.0 * h_out)
+    else:
+        fm2, fm1, fp1, fp2 = at(-2.0 * h), at(-h), at(+h), at(+2.0 * h)
+        out = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_out)
+    return unbatch(out, single)
 
 
 def jacobian(field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """All partials stacked: result[axis, ...] = d_axis components."""
-    p = as_point(p)
-    return np.stack([partial_derivative(field, p, a, scheme) for a in range(field.dim)])
+    """All partials stacked: result[..., axis, :] = d_axis components."""
+    coords, single = as_batch(p)
+    out = np.stack([partial_derivative(field, coords, a, scheme)
+                    for a in range(field.dim)], axis=1)
+    return unbatch(out, single)
 
 
 def lie_bracket(x_field: TensorField, y_field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
@@ -197,12 +272,14 @@ def lie_bracket(x_field: TensorField, y_field: TensorField, p, scheme: Derivativ
         raise ValueError("lie_bracket expects two vector fields")
     if x_field.dim != y_field.dim:
         raise ValueError("vector fields live on charts of different dimension")
-    p = as_point(p)
-    xv = x_field.components(p)
-    yv = y_field.components(p)
-    dy = jacobian(y_field, p, scheme)
-    dx = jacobian(x_field, p, scheme)
-    return xv @ dy - yv @ dx
+    coords, single = as_batch(p)
+    xv = x_field.components(coords)
+    yv = y_field.components(coords)
+    dy = jacobian(y_field, coords, scheme)
+    dx = jacobian(x_field, coords, scheme)
+    out = (np.einsum("...l,...lm->...m", xv, dy)
+           - np.einsum("...l,...lm->...m", yv, dx))
+    return unbatch(out, single)
 
 
 @dataclass(frozen=True)
@@ -210,8 +287,8 @@ class Grid:
     """A product grid: per-axis linspace over [center - hw, center + hw].
 
     An axis with a single point contributes just its center. ``sample``
-    enumerates points lexicographically by axis index (axis 0 slowest), so
-    grid traversal order is deterministic.
+    returns the points as one batch, lexicographically by axis index (axis 0
+    slowest), so grid traversal order is deterministic.
     """
 
     center: tuple
@@ -245,9 +322,9 @@ class Grid:
             return np.array([c])
         return np.linspace(c - w, c + w, m)
 
-    def sample(self) -> list:
+    def sample(self) -> Points:
         axes = [self.axis_values(a) for a in range(self.dim)]
-        return [Point(combo) for combo in itertools.product(*axes)]
+        return Points(list(itertools.product(*axes)))
 
     @classmethod
     def cube(cls, center, half_width, points) -> "Grid":

@@ -18,6 +18,10 @@ the six values already computed at each point, not evaluated again.
 Sufficient-only conditions (parallel bivector, leaf parallel transport,
 parallel coframe) are reported as well but never flip the verdict: when
 they fail they are merely inconclusive.
+
+Every condition is evaluated once over the whole grid: the value
+functions take a point, giving floats, or a batch of points, giving one
+residual per point.
 """
 
 from __future__ import annotations
@@ -29,12 +33,13 @@ import numpy as np
 from .context import ChartContext
 from .errors import GeometryError
 from .geometry import (
-    DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid, Point, as_point,
+    DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid, Point, as_batch, matvec,
+    pointwise_max_abs, unbatch,
 )
 from .metric import MetricField
 from .poisson import (
     PoissonStructure, canonical_bivector, check_gram_nondegenerate,
-    independent_columns,
+    independent_column_mask,
 )
 from .reports import ConditionReport
 
@@ -93,130 +98,134 @@ def _pairs(codim: int):
     return [(i, j) for i in range(codim) for j in range(i + 1, codim)]
 
 
-def _amax(values) -> float:
-    return float(np.max(np.abs(values), initial=0.0))
+def _unbatch_values(vals: dict, single: bool) -> dict:
+    """Per-point residual arrays, or floats for a single point."""
+    return {key: float(v[0]) if single else v for key, v in vals.items()}
+
+
+class _Maxima(dict):
+    """Running per-point maxima of residuals, one array per condition."""
+
+    def __init__(self, keys, n: int):
+        super().__init__((key, np.zeros(n)) for key in keys)
+
+    def record(self, key, values):
+        """Fold in max |values| per point (over all but the point axis)."""
+        self[key] = np.maximum(self[key], pointwise_max_abs(values))
 
 
 # ---------------------------------------------------------------------------
-# the six equivalent conditions, evaluated on the frame at one point
+# the six equivalent conditions, evaluated on the frame
 
-def _frame_torsion(ctx: ChartContext, i: int, j: int, p: Point) -> np.ndarray:
+def _frame_torsion(ctx: ChartContext, i: int, j: int, q) -> np.ndarray:
     """Nijenhuis torsion of the leaf projector on (xi_i, xi_j)."""
-    v = ctx.projector_v(p)
-    t1 = ctx.frame_bracket(i, j, "v", "v", p)
-    t2 = v @ ctx.frame_bracket(i, j, "v", "plain", p)
-    t3 = v @ ctx.frame_bracket(i, j, "plain", "v", p)
-    t4 = v @ (v @ ctx.frame_bracket(i, j, "plain", "plain", p))
+    v = ctx.projector_v(q)
+    t1 = ctx.frame_bracket(i, j, "v", "v", q)
+    t2 = matvec(v, ctx.frame_bracket(i, j, "v", "plain", q))
+    t3 = matvec(v, ctx.frame_bracket(i, j, "plain", "v", q))
+    t4 = matvec(v, matvec(v, ctx.frame_bracket(i, j, "plain", "plain", q)))
     return t1 - t2 - t3 + t4
 
 
+def _vecmat(vector, matrix):
+    return np.einsum("...l,...lm->...m", vector, matrix)
+
+
 def equivalence_condition_values(ctx: ChartContext, p) -> dict:
-    """Max-abs residual of each of the six conditions at one point."""
-    p = as_point(p)
-    P = ctx.bivector_at(p)
-    g = ctx.metric_at(p)
-    ginv = ctx.metric_inv_at(p)
-    frame = ctx.frame_at(p)
-    coframe = ctx.coframe_at(p)
-    g2 = ctx.christoffel_at(p).second_kind
-    nabla_P = ctx.nabla_bivector(p)
+    """Max-abs residual of each of the six conditions at p, or per point of a batch."""
+    q, single = as_batch(p)
+    P = ctx.bivector_at(q)
+    g = ctx.metric_at(q)
+    ginv = ctx.metric_inv_at(q)
+    frame = ctx.frame_at(q)
+    coframe = ctx.coframe_at(q)
+    g2 = ctx.christoffel_at(q).second_kind
+    nabla_P = ctx.nabla_bivector(q)
     d = ctx.codim
-    nabla_w = [ctx.nabla_coframe(i, p) for i in range(d)]
-    jacs = [ctx.frame_jacobian(i, p) for i in range(d)]
+    nabla_w = [ctx.nabla_coframe(i, q) for i in range(d)]
+    jacs = [ctx.frame_jacobian(i, q) for i in range(d)]
     # nabla_l xi_i^s, including the connection term
-    cov_frame = [jacs[i] + np.einsum("slm,m->ls", g2, frame[:, i])
+    cov_frame = [jacs[i] + np.einsum("...slm,...m->...ls", g2, frame[..., i])
                  for i in range(d)]
 
-    vals = {cid: 0.0 for cid in EQUIVALENCE_IDS}
+    vals = _Maxima(EQUIVALENCE_IDS, len(q))
     for i, j in _pairs(d):
-        xi_i, xi_j = frame[:, i], frame[:, j]
-        w_i, w_j = coframe[i], coframe[j]
+        xi_i, xi_j = frame[..., i], frame[..., j]
+        w_i, w_j = coframe[:, i], coframe[:, j]
 
-        covector = xi_i @ nabla_w[j] - xi_j @ nabla_w[i]
-        vals["coframe-derivative"] = max(
-            vals["coframe-derivative"], _amax(P @ covector))
+        covector = _vecmat(xi_i, nabla_w[j]) - _vecmat(xi_j, nabla_w[i])
+        vals.record("coframe-derivative", matvec(P, covector))
 
-        wedge = np.outer(w_i, w_j) - np.outer(w_j, w_i)  # [s, a]
-        contracted = np.einsum("la,lts,sa->t", ginv, nabla_P, wedge)
-        vals["bivector-derivative"] = max(
-            vals["bivector-derivative"], _amax(contracted))
+        wedge = (np.einsum("...s,...a->...sa", w_i, w_j)
+                 - np.einsum("...s,...a->...sa", w_j, w_i))
+        vals.record("bivector-derivative",
+                    np.einsum("...la,...lts,...sa->...t", ginv, nabla_P, wedge))
 
-        diff = xi_i @ cov_frame[j] - xi_j @ cov_frame[i]
-        vals["frame-derivative"] = max(
-            vals["frame-derivative"], _amax(P @ (g @ diff)))
+        diff = _vecmat(xi_i, cov_frame[j]) - _vecmat(xi_j, cov_frame[i])
+        vals.record("frame-derivative", matvec(P, matvec(g, diff)))
 
-        bracket = xi_i @ jacs[j] - xi_j @ jacs[i]
-        vals["coframe-bracket-closure"] = max(
-            vals["coframe-bracket-closure"], _amax(P @ (g @ bracket)))
+        bracket = _vecmat(xi_i, jacs[j]) - _vecmat(xi_j, jacs[i])
+        vals.record("coframe-bracket-closure", matvec(P, matvec(g, bracket)))
 
-        curvature = ctx.projector_v(p) @ ctx.frame_bracket(i, j, "h", "h", p)
-        vals["frobenius-curvature"] = max(
-            vals["frobenius-curvature"], _amax(curvature))
+        vals.record("frobenius-curvature", matvec(
+            ctx.projector_v(q), ctx.frame_bracket(i, j, "h", "h", q)))
 
-        vals["nijenhuis-torsion"] = max(
-            vals["nijenhuis-torsion"], _amax(_frame_torsion(ctx, i, j, p)))
-    return vals
+        vals.record("nijenhuis-torsion", _frame_torsion(ctx, i, j, q))
+    return _unbatch_values(vals, single)
 
 
 # ---------------------------------------------------------------------------
 # sufficient-only conditions
 
 def sufficient_condition_values(ctx: ChartContext, p) -> dict:
-    """Raw residuals of the three sufficient conditions at one point.
+    """Raw residuals of the three sufficient conditions at p, or per point of a batch.
 
     Returns condition id -> residual, plus the premise residual for the
     parallel-coframe condition under the key "parallel-coframe-premise".
     """
-    p = as_point(p)
-    P = ctx.bivector_at(p)
-    coframe = ctx.coframe_at(p)
-    frame = ctx.frame_at(p)
-    g2 = ctx.christoffel_at(p).second_kind
-    nabla_P = ctx.nabla_bivector(p)
+    q, single = as_batch(p)
+    P = ctx.bivector_at(q)
+    coframe = ctx.coframe_at(q)
+    frame = ctx.frame_at(q)
+    g2 = ctx.christoffel_at(q).second_kind
+    nabla_P = ctx.nabla_bivector(q)
     d = ctx.codim
+    vals = _Maxima(SUFFICIENT_IDS + ("parallel-coframe-premise",), len(q))
 
     # parallel bivector: (nabla_{xi_i} P) omega^j over all ordered pairs
-    parallel_biv = 0.0
     for i in range(d):
-        directional = np.einsum("m,mts->ts", frame[:, i], nabla_P)
+        directional = np.einsum("...m,...mts->...ts", frame[..., i], nabla_P)
         for j in range(d):
-            parallel_biv = max(parallel_biv, _amax(directional @ coframe[j]))
+            vals.record("parallel-bivector-on-kernel",
+                        matvec(directional, coframe[:, j]))
 
-    # leaf transport: omega^j(nabla_{xi_i} t_a) for bivector-column basis t_a
-    cols = independent_columns(P)
-    transport = 0.0
-    for col in cols:
-        t_val = P[:, col]
-        jac_t = ctx.bivector_column_jacobian(col, p)
-        cov_t = jac_t + np.einsum("slm,m->ls", g2, t_val)  # [l, s]
+    # leaf transport: omega^j(nabla_{xi_i} t_a) for bivector-column basis t_a,
+    # where each point has its own column basis
+    cols = independent_column_mask(P)
+    for col in np.flatnonzero(cols.any(axis=0)).tolist():
+        jac_t = ctx.bivector_column_jacobian(col, q)
+        cov_t = jac_t + np.einsum("...slm,...m->...ls", g2, P[..., col])  # [l, s]
         for i in range(d):
-            derivative = frame[:, i] @ cov_t
+            derivative = _vecmat(frame[..., i], cov_t)
             for j in range(d):
-                transport = max(transport, abs(float(coframe[j] @ derivative)))
+                transport = np.einsum("...s,...s->...", coframe[:, j], derivative)
+                vals.record("leaf-parallel-transport",
+                            np.where(cols[:, col], transport, 0.0))
 
     # parallel coframe: premise nabla omega = 0; conclusions Killing + harmonic
-    premise = max((_amax(ctx.nabla_coframe(i, p)) for i in range(d)), default=0.0)
-    killing = max(
-        (_amax(ctx.frame_metric_lie_derivative(i, p)) for i in range(d)),
-        default=0.0)
-    harmonic = max(
-        (abs(float(ctx.casimir_laplacian(idx, p)))
-         for idx in range(len(ctx.structure.casimirs))),
-        default=0.0)
-
-    return {
-        "parallel-bivector-on-kernel": parallel_biv,
-        "leaf-parallel-transport": transport,
-        "parallel-coframe": max(killing, harmonic),
-        "parallel-coframe-premise": premise,
-    }
+    for i in range(d):
+        vals.record("parallel-coframe-premise", ctx.nabla_coframe(i, q))
+        vals.record("parallel-coframe", ctx.frame_metric_lie_derivative(i, q))
+    for idx in range(len(ctx.structure.casimirs)):
+        vals.record("parallel-coframe", ctx.casimir_laplacian(idx, q))
+    return _unbatch_values(vals, single)
 
 
 # ---------------------------------------------------------------------------
 # co-vanishing of the bivector route and the torsion route
 
 def covanishing_values(vals: dict) -> tuple:
-    """(bivector-route norm, torsion-route norm) from one point's six values.
+    """(bivector-route norm, torsion-route norm) from the six values.
 
     The bivector route max |P g [xi_i, xi_j]| is the coframe-bracket-closure
     residual and the torsion route is the Nijenhuis residual, so both are
@@ -232,7 +241,8 @@ def covanishing_values(vals: dict) -> tuple:
 # canonical-chart Christoffel criterion
 
 def canonical_block_form_ok(P: np.ndarray, rank: int) -> bool:
-    """True when P is exactly the constant canonical block matrix.
+    """True when P, or every matrix of a stack, is exactly the constant
+    canonical block matrix.
 
     Transversal coordinates first (zero block), then the standard
     symplectic pairing on the trailing ``rank`` coordinates; both sign
@@ -240,13 +250,19 @@ def canonical_block_form_ok(P: np.ndarray, rank: int) -> bool:
     this criterion only means anything in a chart where the bivector has
     already been put in normal form, so approximate matches are refused.
     """
-    dim = P.shape[0]
-    pattern = canonical_bivector(dim, rank).components(Point(np.zeros(dim)))
-    return np.array_equal(P, pattern) or np.array_equal(P, -pattern)
+    return bool(np.all(_canonical_points(P, rank)))
 
 
-def canonical_chart_symmetry(ctx: ChartContext, p) -> float:
-    """Christoffel-form Frobenius residual in a canonical chart at one point.
+def _canonical_points(P: np.ndarray, rank: int) -> np.ndarray:
+    """Per matrix of a stack: is it the canonical block matrix (either sign)."""
+    pattern = canonical_bivector(P.shape[-1], rank).constant_components
+    return (np.all(P == pattern, axis=(-2, -1))
+            | np.all(P == -pattern, axis=(-2, -1)))
+
+
+def canonical_chart_symmetry(ctx: ChartContext, p):
+    """Christoffel-form Frobenius residual in a canonical chart at p, or per
+    point of a batch.
 
     With the bivector in canonical block form the leaf coordinates t index
     the 1-forms theta_t = g(d_t, .), which span the annihilator of the
@@ -257,19 +273,21 @@ def canonical_chart_symmetry(ctx: ChartContext, p) -> float:
     symmetry Gamma_{JIt} = Gamma_{IJt} alone is equivalent only where the
     metric has no transversal-leaf entries g_{It}.
     """
-    p = as_point(p)
-    if not canonical_block_form_ok(ctx.bivector_at(p), ctx.structure.expected_rank):
+    q, single = as_batch(p)
+    off = np.flatnonzero(~_canonical_points(ctx.bivector_at(q),
+                                            ctx.structure.expected_rank))
+    if off.size:
         raise GeometryError(
-            f"bivector at {p!r} is not the canonical constant block form; "
-            "the Christoffel-symmetry criterion is specific to such charts")
-    leaf = ctx.christoffel_at(p).first_kind[:, :, ctx.codim:]
-    dtheta = leaf.swapaxes(0, 1) - leaf  # [a, b, t] = d theta_t(d_a, d_b)
-    frame = ctx.frame_at(p)
-    residual = 0.0
+            f"bivector at {Point(q[off[0]])!r} is not the canonical constant block "
+            "form; the Christoffel-symmetry criterion is specific to such charts")
+    leaf = ctx.christoffel_at(q).first_kind[..., ctx.codim:]
+    dtheta = leaf.swapaxes(1, 2) - leaf  # [k, a, b, t] = d theta_t(d_a, d_b)
+    frame = ctx.frame_at(q)
+    residual = _Maxima(("chart",), len(q))
     for i, j in _pairs(ctx.codim):
-        residual = max(residual, _amax(
-            np.einsum("a,b,abt->t", frame[:, i], frame[:, j], dtheta)))
-    return residual
+        residual.record("chart", np.einsum(
+            "...a,...b,...abt->...t", frame[..., i], frame[..., j], dtheta))
+    return unbatch(residual["chart"], single)
 
 
 # ---------------------------------------------------------------------------
@@ -311,104 +329,91 @@ class Verdict:
 def verdict(ps: PoissonStructure, m: MetricField, grid: Grid,
             scheme: DerivativeScheme = DEFAULT_SCHEME,
             tol: float | None = None,
-            ctx: ChartContext | None = None) -> Verdict:
+            ctx: ChartContext | None = None,
+            points=None) -> Verdict:
     """Run every condition over the grid and aggregate.
 
     The six equivalent conditions decide ``integrable``; the canonical
     chart criterion joins them when the bivector has the exact block form
     at every grid point. Sufficient conditions and the co-vanishing check
-    ride along and only influence the consistency flag.
+    ride along and only influence the consistency flag. ``points`` passes
+    the grid's sampled points when the caller has them.
     """
     ctx = ctx or ChartContext(ps, m, scheme)
     tol = default_tolerance(ctx.scheme) if tol is None else tol
-    points = grid.sample()
+    points = grid.sample() if points is None else points
+    q = points.coords
 
-    equivalence = {cid: ConditionReport(cid, FORMULAS[cid], tol)
-                   for cid in EQUIVALENCE_IDS}
-    sufficient = {cid: ConditionReport(cid, FORMULAS[cid], tol, binding=False)
+    chart_ok = canonical_block_form_ok(ctx.bivector_at(q), ps.expected_rank)
+    # the orthogonal frame is only defined where the gram matrix is
+    # invertible; catch degenerate points even when there are no frame
+    # pairs (codimension one)
+    check_gram_nondegenerate(ctx.gram_at(q), q)
+    vals = equivalence_condition_values(ctx, q)
+    suff = sufficient_condition_values(ctx, q)
+    ra, rn = covanishing_values(vals)
+
+    def report(cid, residuals, threshold=tol, binding=True):
+        return ConditionReport(cid, FORMULAS[cid], threshold, binding,
+                               points=points, residuals=residuals.tolist())
+
+    equivalence = [report(cid, vals[cid]) for cid in EQUIVALENCE_IDS]
+    sufficient = {cid: report(cid, suff[cid], binding=False)
                   for cid in SUFFICIENT_IDS}
-    covanish = ConditionReport(
-        "kernel-image-covanishing", FORMULAS["kernel-image-covanishing"], 0.5,
-        binding=False)
-    covanish.extras["bivector_route_norms"] = []
-    covanish.extras["torsion_route_norms"] = []
-    covanish.extras["vanishing_tolerance"] = tol
-
-    chart_ok = all(
-        canonical_block_form_ok(ctx.bivector_at(p), ps.expected_rank)
-        for p in points)
-    chart = ConditionReport(
-        "christoffel-symmetry", FORMULAS["christoffel-symmetry"], tol,
-        binding=chart_ok)
-    if not chart_ok:
-        chart.status = "skipped"
+    agree = (ra <= tol) == (rn <= tol)
+    covanish = report("kernel-image-covanishing", np.where(agree, 0.0, 1.0), 0.5,
+                      binding=False)
+    covanish.extras.update(bivector_route_norms=ra.tolist(),
+                           torsion_route_norms=rn.tolist(), vanishing_tolerance=tol)
+    if chart_ok:
+        chart = report("christoffel-symmetry", canonical_chart_symmetry(ctx, q))
+    else:
+        chart = ConditionReport("christoffel-symmetry", FORMULAS["christoffel-symmetry"],
+                                tol, binding=False, status="skipped")
 
     disagreements = []
-    premise_max = 0.0
-    for p in points:
-        # the orthogonal frame is only defined where the gram matrix is
-        # invertible; catch degenerate points even when the pair loops below
-        # are empty (codimension one)
-        check_gram_nondegenerate(ctx.gram_at(p), p)
-        vals = equivalence_condition_values(ctx, p)
-        for cid in EQUIVALENCE_IDS:
-            equivalence[cid].add(p, vals[cid])
-        flags = [vals[cid] <= tol for cid in EQUIVALENCE_IDS]
-        if any(flags) and not all(flags):
+    holds = np.column_stack([vals[cid] <= tol for cid in EQUIVALENCE_IDS])
+    for k, coords in enumerate(q.tolist()):
+        if holds[k].any() and not holds[k].all():
             disagreements.append({
                 "kind": "equivalence",
-                "point": [float(c) for c in p.coords],
-                "residuals": {cid: vals[cid] for cid in EQUIVALENCE_IDS},
+                "point": coords,
+                "residuals": {cid: float(vals[cid][k]) for cid in EQUIVALENCE_IDS},
             })
-
-        suff = sufficient_condition_values(ctx, p)
-        for cid in SUFFICIENT_IDS:
-            sufficient[cid].add(p, suff[cid])
-        premise_max = max(premise_max, suff["parallel-coframe-premise"])
-
-        ra, rn = covanishing_values(vals)
-        covanish.extras["bivector_route_norms"].append(ra)
-        covanish.extras["torsion_route_norms"].append(rn)
-        agree = (ra <= tol) == (rn <= tol)
-        covanish.add(p, 0.0 if agree else 1.0)
-        if not agree:
+        if not agree[k]:
             disagreements.append({
                 "kind": "covanishing",
-                "point": [float(c) for c in p.coords],
-                "residuals": {"bivector_route": ra, "torsion_route": rn},
+                "point": coords,
+                "residuals": {"bivector_route": float(ra[k]),
+                              "torsion_route": float(rn[k])},
+            })
+        if chart_ok and chart.holds_at(k) != holds[k].all():
+            disagreements.append({
+                "kind": "canonical-chart",
+                "point": coords,
+                "residuals": {"christoffel-symmetry": chart.residuals[k]},
             })
 
-        if chart_ok:
-            residual = canonical_chart_symmetry(ctx, p)
-            chart.add(p, residual)
-            if chart.holds_at(len(chart.points) - 1) != all(flags):
-                disagreements.append({
-                    "kind": "canonical-chart",
-                    "point": [float(c) for c in p.coords],
-                    "residuals": {"christoffel-symmetry": residual},
-                })
-
+    premise_max = float(np.max(suff["parallel-coframe-premise"], initial=0.0))
     sufficient["parallel-coframe"].extras["premise_max_residual"] = premise_max
     if premise_max > tol:
         sufficient["parallel-coframe"].status = "inconclusive"
-    for cid in SUFFICIENT_IDS:
-        rep = sufficient[cid]
+    for rep in sufficient.values():
         if rep.status is None and not rep.holds:
             rep.status = "inconclusive"
 
-    binding = list(equivalence.values()) + ([chart] if chart_ok else [])
+    binding = equivalence + ([chart] if chart_ok else [])
     integrable = all(rep.holds for rep in binding)
 
-    for cid in SUFFICIENT_IDS:
-        if sufficient[cid].label == "holds" and not integrable:
+    for cid, rep in sufficient.items():
+        if rep.label == "holds" and not integrable:
             disagreements.append({
                 "kind": "sufficient-vs-verdict",
                 "condition": cid,
-                "max_residual": sufficient[cid].max_residual,
+                "max_residual": rep.max_residual,
             })
 
-    conditions = (list(equivalence.values()) + [chart, covanish]
-                  + list(sufficient.values()))
+    conditions = equivalence + [chart, covanish] + list(sufficient.values())
     return Verdict(
         integrable=integrable,
         consistent=not disagreements,

@@ -29,7 +29,7 @@ import numpy as np
 from . import dsl
 from .context import ChartContext
 from .errors import ConfigError, ConsistencyError, DegeneracyError, RegularityError
-from .geometry import DEFAULT_SCHEME, DerivativeScheme, Grid, Point, as_point
+from .geometry import DEFAULT_SCHEME, DerivativeScheme, Grid, Points
 from .metric import MetricField
 from .poisson import PoissonStructure, coframe_fields
 from .reports import ConditionReport
@@ -350,9 +350,12 @@ def builtin_algebra(name: str, **params) -> BuiltinAlgebra:
     return _BUILTIN_FACTORIES[name](**params)
 
 
-def ensure_regular_grid(alg: BuiltinAlgebra, grid: Grid) -> None:
-    """Reject grids that touch the non-regular locus before any run starts."""
-    for p in grid.sample():
+def ensure_regular_grid(alg: BuiltinAlgebra, grid: Grid, points=None) -> None:
+    """Reject grids that touch the non-regular locus before any run starts.
+
+    ``points`` passes the grid's sampled points when the caller has them.
+    """
+    for p in grid.sample() if points is None else points:
         if not alg.regular(p.coords):
             raise RegularityError(
                 f"grid point {p!r} lies outside the regular domain of "
@@ -365,26 +368,22 @@ def casimir_lie_bracket(sc: StructureConstants, ps: PoissonStructure, p,
 
     On the dual space a covector is itself an algebra element, so the
     coframe at p can be bracketed entrywise under the structure
-    constants: out[i, j] = [w^i(p), w^j(p)].  An all-zero table is the
-    abelian criterion for the span of the Casimir differentials at p.
+    constants: out[..., i, j, :] = [w^i(p), w^j(p)], with a leading point
+    axis when p is a batch.  An all-zero table is the abelian criterion
+    for the span of the Casimir differentials at p.
     """
-    p = as_point(p)
     rows = [w.components(p) for w in coframe_fields(ps, scheme)]
     d = len(rows)
-    out = np.zeros((d, d, sc.dim))
+    out = np.zeros(rows[0].shape[:-1] + (d, d, sc.dim))
     # the bracket is antisymmetric identically, so fill one triangle and
     # mirror; summing the full contraction would leave roundoff on the
     # diagonal where exact zeros are expected
     for i in range(d):
         for j in range(i + 1, d):
-            out[i, j] = np.einsum("m,n,mns->s", rows[i], rows[j], sc.table)
-            out[j, i] = -out[i, j]
+            out[..., i, j, :] = np.einsum("...m,...n,mns->...s",
+                                          rows[i], rows[j], sc.table)
+            out[..., j, i, :] = -out[..., i, j, :]
     return out
-
-
-def _surface_point(surface, params) -> Point:
-    coords = np.asarray(surface(*params), dtype=float)
-    return Point(coords.reshape(-1))
 
 
 def _surface_tangent(surface, params, axis: int, step_rule) -> np.ndarray:
@@ -411,18 +410,19 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
     squares; the residual is the norm of the out-of-span component
     (maximum over the tangent directions).  A rank-deficient frame along
     the surface makes the decomposition meaningless and raises instead.
+    The frame is evaluated at all samples as one batch.
     """
     from .integrability import default_tolerance
 
     if tol is None:
         tol = default_tolerance(ctx.scheme)
-    report = ConditionReport(
-        "integral-surface",
-        "|| (1 - Xi Xi^+) d surface / d param ||", tol, binding=False)
-    for raw in samples:
-        params = raw if isinstance(raw, (tuple, list, np.ndarray)) else (raw,)
-        point = _surface_point(surface, params)
-        frame = ctx.frame_at(point)
+    all_params = [raw if isinstance(raw, (tuple, list, np.ndarray)) else (raw,)
+                  for raw in samples]
+    points = Points([np.asarray(surface(*params), dtype=float).reshape(-1)
+                     for params in all_params])
+    frames = ctx.frame_at(points)
+    residuals = []
+    for params, frame in zip(all_params, frames):
         sigma = np.linalg.svd(frame, compute_uv=False)
         if sigma[-1] <= 1e-9 * sigma[0]:
             raise DegeneracyError(
@@ -435,5 +435,7 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
                                        ctx.scheme.step_for)
             coeffs = np.linalg.lstsq(frame, tangent, rcond=None)[0]
             worst = max(worst, float(np.linalg.norm(tangent - frame @ coeffs)))
-        report.add(point, worst)
-    return report
+        residuals.append(worst)
+    return ConditionReport(
+        "integral-surface", "|| (1 - Xi Xi^+) d surface / d param ||", tol,
+        binding=False, points=points, residuals=residuals)

@@ -8,7 +8,9 @@ Index conventions (0-based axes, einsum letters in comments):
     (nabla_l P)^{ts} = d_l P^{ts} + Gamma^t_{lm} P^{ms} + Gamma^s_{lm} P^{tm}
 
 Both Christoffel arrays are symmetric in their last two slots (torsion-free)
-and metric compatibility nabla g = 0 holds by construction.
+and metric compatibility nabla g = 0 holds by construction. Every function
+takes a point or a batch of points (see ``geometry``); over a batch the
+arrays gain a leading point axis.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from . import dsl
 from .errors import DegeneracyError
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Point, TensorField, as_point, jacobian,
-    partial_derivative,
+    DEFAULT_SCHEME, DerivativeScheme, Point, TensorField, as_batch, jacobian,
+    matvec, unbatch,
 )
 
 INVERSE_CHECK_TOL = 1e-10
@@ -87,50 +89,67 @@ class MetricField:
 
 
 def reject_singular(matrix, what):
-    n = matrix.shape[0]
-    scale = max(float(np.max(np.abs(matrix))), 1e-300)
-    det = float(np.linalg.det(matrix))
-    if abs(det) < DET_FLOOR_FACTOR * scale ** n:
-        cond = float(np.linalg.cond(matrix))
+    """Raise DegeneracyError if the matrix, or one of a stack, is singular.
+
+    ``what`` names the matrix; for a stack it may be a function of the index
+    of the first singular one.
+    """
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    n = stack.shape[-1]
+    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    det = np.linalg.det(stack)
+    singular = np.flatnonzero(np.abs(det) < DET_FLOOR_FACTOR * scale ** n)
+    if singular.size:
+        k = singular[0]
+        cond = float(np.linalg.cond(stack[k]))
+        name = what(k) if callable(what) else what
         raise DegeneracyError(
-            f"{what} is numerically singular (|det| = {abs(det):.3e}, "
+            f"{name} is numerically singular (|det| = {abs(det[k]):.3e}, "
             f"condition number {cond:.3e})",
-            detail={"det": det, "cond": cond, "matrix": matrix.copy()})
+            detail={"det": float(det[k]), "cond": cond, "matrix": stack[k].copy()})
 
 
 def inverse_metric(m: MetricField, p) -> np.ndarray:
     """g^{mu nu} at p; raises DegeneracyError when g is singular there."""
+    coords, single = as_batch(p)
     if m.contravariant_constant is not None:
-        return m.contravariant_constant
-    g = m.components(p)
-    reject_singular(g, f"metric at {as_point(p)!r}")
+        shape = (len(coords),) + m.contravariant_constant.shape
+        return unbatch(np.broadcast_to(m.contravariant_constant, shape), single)
+    g = m.components(coords)
+    reject_singular(g, lambda k: f"metric at {Point(coords[k])!r}")
     ginv = np.linalg.inv(g)
-    if np.max(np.abs(ginv @ g - np.eye(m.dim))) > INVERSE_CHECK_TOL:
-        cond = float(np.linalg.cond(g))
+    off = np.max(np.abs(ginv @ g - np.eye(m.dim)), axis=(1, 2))
+    failed = np.flatnonzero(off > INVERSE_CHECK_TOL)
+    if failed.size:
+        k = failed[0]
+        cond = float(np.linalg.cond(g[k]))
         raise DegeneracyError(
-            f"metric inversion at {as_point(p)!r} failed the identity check "
+            f"metric inversion at {Point(coords[k])!r} failed the identity check "
             f"(condition number {cond:.3e})",
-            detail={"cond": cond, "matrix": g.copy()})
-    return ginv
+            detail={"cond": cond, "matrix": g[k].copy()})
+    return unbatch(ginv, single)
 
 
 @dataclass(frozen=True)
 class Christoffel:
-    """Connection coefficients at a point, both kinds."""
+    """Connection coefficients at a point or over a batch, both kinds."""
 
-    point: Point
-    first_kind: np.ndarray   # [a, b, c] = Gamma_{abc}
-    second_kind: np.ndarray  # [s, b, c] = Gamma^s_{bc}
+    first_kind: np.ndarray   # [..., a, b, c] = Gamma_{abc}
+    second_kind: np.ndarray  # [..., s, b, c] = Gamma^s_{bc}
+
+    def __getitem__(self, index) -> "Christoffel":
+        """The coefficients at point ``index`` of a batch."""
+        return Christoffel(self.first_kind[index], self.second_kind[index])
 
 
 def christoffel(m: MetricField, p, scheme: DerivativeScheme = DEFAULT_SCHEME) -> Christoffel:
-    p = as_point(p)
-    dg = jacobian(m.field, p, scheme)  # dg[b, d, c] = d_b g_{dc}
-    first = 0.5 * (np.einsum("bac->abc", dg) + np.einsum("cab->abc", dg)
-                   - np.einsum("abc->abc", dg))
-    ginv = inverse_metric(m, p)
-    second = np.einsum("ad,dbc->abc", ginv, first)
-    return Christoffel(point=p, first_kind=first, second_kind=second)
+    coords, single = as_batch(p)
+    dg = jacobian(m.field, coords, scheme)  # dg[..., b, d, c] = d_b g_{dc}
+    first = 0.5 * (np.einsum("...bac->...abc", dg) + np.einsum("...cab->...abc", dg)
+                   - dg)
+    ginv = inverse_metric(m, coords)
+    second = np.einsum("...ad,...dbc->...abc", ginv, first)
+    return unbatch(Christoffel(first_kind=first, second_kind=second), single)
 
 
 def covariant_derivative_oneform(m: MetricField, omega: TensorField, p,
@@ -139,10 +158,9 @@ def covariant_derivative_oneform(m: MetricField, omega: TensorField, p,
     """(nabla_l w)_s as the array [l, s]."""
     if omega.variance != "l":
         raise ValueError("expected a one-form field")
-    p = as_point(p)
-    dw = jacobian(omega, p, scheme)  # [l, s]
+    dw = jacobian(omega, p, scheme)  # [..., l, s]
     g2 = (gamma or christoffel(m, p, scheme)).second_kind
-    return dw - np.einsum("gls,g->ls", g2, omega.components(p))
+    return dw - np.einsum("...gls,...g->...ls", g2, omega.components(p))
 
 
 def covariant_derivative_bivector(m: MetricField, biv: TensorField, p,
@@ -151,19 +169,18 @@ def covariant_derivative_bivector(m: MetricField, biv: TensorField, p,
     """(nabla_l P)^{ts} as the array [l, t, s]."""
     if biv.variance != "uu":
         raise ValueError("expected a contravariant 2-tensor field")
-    p = as_point(p)
-    dP = jacobian(biv, p, scheme)  # [l, t, s]
+    dP = jacobian(biv, p, scheme)  # [..., l, t, s]
     g2 = (gamma or christoffel(m, p, scheme)).second_kind
     P = biv.components(p)
-    correction = (np.einsum("tlm,ms->lts", g2, P)
-                  + np.einsum("slm,tm->lts", g2, P))
+    correction = (np.einsum("...tlm,...ms->...lts", g2, P)
+                  + np.einsum("...slm,...tm->...lts", g2, P))
     return dP + correction
 
 
 def sharp(m: MetricField, covector, p) -> np.ndarray:
     """Raise an index: component vector g^{mu nu} w_nu at p."""
     covector = np.asarray(covector, dtype=float)
-    return inverse_metric(m, p) @ covector
+    return matvec(inverse_metric(m, p), covector)
 
 
 def sharp_field(m: MetricField, omega: TensorField,
@@ -187,8 +204,8 @@ def sharp_field(m: MetricField, omega: TensorField,
             entries.append(acc)
         return dsl.expr_field(dim, "u", entries)
 
-    def evaluate_at(p: Point):
-        return inverse_metric(m, p) @ omega.components(p)
+    def evaluate_at(coords):
+        return matvec(inverse_metric(m, coords), omega.components(coords))
 
     return TensorField(dim, "u", evaluate_at)
 
@@ -199,18 +216,19 @@ def lie_derivative_metric(m: MetricField, x_field: TensorField, p,
     """(L_X g)_{sl} = g_{gl} nabla_s X^g + g_{sg} nabla_l X^g at p."""
     if x_field.variance != "u":
         raise ValueError("expected a vector field")
-    p = as_point(p)
     g = m.components(p)
-    dX = jacobian(x_field, p, scheme)  # [s, g] = d_s X^g
+    dX = jacobian(x_field, p, scheme)  # [..., s, g] = d_s X^g
     g2 = (gamma or christoffel(m, p, scheme)).second_kind
-    covX = dX + np.einsum("gsm,m->sg", g2, x_field.components(p))  # nabla_s X^g
-    return np.einsum("gl,sg->sl", g, covX) + np.einsum("sg,lg->sl", g, covX)
+    # nabla_s X^g
+    covX = dX + np.einsum("...gsm,...m->...sg", g2, x_field.components(p))
+    return (np.einsum("...gl,...sg->...sl", g, covX)
+            + np.einsum("...sg,...lg->...sl", g, covX))
 
 
 def laplacian(m: MetricField, scalar: TensorField, p,
               scheme: DerivativeScheme = DEFAULT_SCHEME,
               gamma: Christoffel | None = None,
-              gradient_sharp: TensorField | None = None) -> float:
+              gradient_sharp: TensorField | None = None):
     """Laplace-Beltrami of a scalar via 1/2 g^{lm} (L_{grad^sharp} g)_{lm}.
 
     ``gradient_sharp`` may supply a precomputed raised-gradient field of
@@ -219,9 +237,8 @@ def laplacian(m: MetricField, scalar: TensorField, p,
     """
     if scalar.variance != "":
         raise ValueError("expected a scalar field")
-    p = as_point(p)
     if gradient_sharp is None:
         grad = dsl.gradient_field(scalar, scheme)
         gradient_sharp = sharp_field(m, grad, scheme)
     lie = lie_derivative_metric(m, gradient_sharp, p, scheme, gamma=gamma)
-    return 0.5 * float(np.einsum("lm,lm->", inverse_metric(m, p), lie))
+    return 0.5 * np.einsum("...lm,...lm->...", inverse_metric(m, p), lie)

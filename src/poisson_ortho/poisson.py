@@ -16,7 +16,8 @@ import numpy as np
 from . import dsl
 from .errors import DegeneracyError, RegularityError
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Grid, TensorField, as_point, jacobian,
+    DEFAULT_SCHEME, DerivativeScheme, Grid, Point, TensorField, as_batch, jacobian,
+    matvec, pointwise_max_abs,
 )
 from .reports import ConditionReport, PoissonValidationReport
 
@@ -94,95 +95,107 @@ def coframe_fields(ps: PoissonStructure,
             out.append(dsl.expr_field(
                 ps.dim, "l", [dsl.mul(s, grad.exprs[(a,)]) for a in range(ps.dim)]))
         else:
-            def evaluate_at(p, grad=grad, scale=scale):
-                return scale.components(p)[()] * grad.components(p)
+            def evaluate_at(coords, grad=grad, scale=scale):
+                return scale.components(coords)[:, None] * grad.components(coords)
 
             out.append(TensorField(ps.dim, "l", evaluate_at))
     return out
 
 
 def check_gram_nondegenerate(gram: np.ndarray, p) -> None:
-    d = gram.shape[0]
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    det = float(np.linalg.det(gram))
-    if abs(det) < GRAM_DET_FACTOR * scale ** d:
+    """Raise DegeneracyError at the first point p (of a batch) whose frame
+    gram matrix is degenerate."""
+    coords, _ = as_batch(p)
+    stack = gram.reshape((-1,) + gram.shape[-2:])
+    d = stack.shape[-1]
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    det = np.linalg.det(stack)
+    degenerate = np.flatnonzero(np.abs(det) < GRAM_DET_FACTOR * scale ** d)
+    if degenerate.size:
+        k = degenerate[0]
         raise DegeneracyError(
-            f"frame gram matrix is degenerate at {as_point(p)!r} "
-            f"(|det| = {abs(det):.3e}; pseudo-Riemannian metrics can be "
+            f"frame gram matrix is degenerate at {Point(coords[k])!r} "
+            f"(|det| = {abs(det[k]):.3e}; pseudo-Riemannian metrics can be "
             f"degenerate on the orthogonal distribution even where the leaf "
             f"is regular)",
-            detail={"det": det, "gram": gram.copy()})
+            detail={"det": float(det[k]), "gram": stack[k].copy()})
 
 
-def independent_columns(matrix: np.ndarray, rel_tol: float = 1e-9) -> list:
-    """Indices of a maximal independent column set, scanning left to right.
+def independent_column_mask(matrix: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+    """Maximal independent column set of a matrix, or of each in a stack,
+    as a boolean mask over the columns, scanning left to right.
 
     Deterministic: each column is orthogonalized against the already chosen
     ones and kept when its remainder is non-negligible.
     """
-    scale = max(float(np.max(np.abs(matrix), initial=0.0)), 1e-300)
+    scale = np.maximum(np.max(np.abs(matrix), axis=(-2, -1), initial=0.0), 1e-300)
     chosen = []
-    ortho = []
-    for col in range(matrix.shape[1]):
-        c = matrix[:, col].astype(float).copy()
+    ortho = []  # unit columns, zero where a column was not chosen
+    for col in range(matrix.shape[-1]):
+        c = matrix[..., :, col].astype(float)
         for q in ortho:
-            c -= q * (q @ c)
-        nrm = float(np.linalg.norm(c))
-        if nrm > rel_tol * scale:
-            ortho.append(c / nrm)
-            chosen.append(col)
-    return chosen
+            c -= q * np.einsum("...i,...i->...", q, c)[..., None]
+        nrm = np.linalg.norm(c, axis=-1)
+        keep = nrm > rel_tol * scale
+        with np.errstate(all="ignore"):
+            ortho.append(np.where(keep[..., None], c / nrm[..., None], 0.0))
+        chosen.append(keep)
+    return np.stack(chosen, axis=-1)
 
 
-def bivector_rank(P: np.ndarray) -> int:
+def bivector_rank(P: np.ndarray):
+    """Numerical rank of P, or of each matrix in a stack."""
     singulars = np.linalg.svd(P, compute_uv=False)
-    if singulars.size == 0 or singulars[0] == 0.0:
-        return 0
-    return int(np.sum(singulars > RANK_SVD_FACTOR * singulars[0]))
+    top = singulars[..., :1]
+    return np.sum(singulars > RANK_SVD_FACTOR * top, axis=-1)
 
 
 def validate_poisson(ps: PoissonStructure, grid: Grid,
                      scheme: DerivativeScheme = DEFAULT_SCHEME,
-                     tol: float = ANNIHILATION_TOL) -> PoissonValidationReport:
+                     tol: float = ANNIHILATION_TOL,
+                     points=None) -> PoissonValidationReport:
     """Antisymmetry, Jacobi, Casimir annihilation, and rank over a grid.
 
+    ``points`` passes the grid's sampled points when the caller has them.
     Raises RegularityError naming the first sampled point whose bivector
     rank differs from the declared one; rank jumps across the grid are a
     special case of that.
     """
-    antisym = ConditionReport(
-        "bivector-antisymmetry", "P^{mn} + P^{nm} = 0", tol)
-    jacobi = ConditionReport(
-        "bivector-jacobi",
-        "P^{lm} d_l P^{ns} + P^{ln} d_l P^{sm} + P^{ls} d_l P^{mn} = 0", tol)
-    annihilation = ConditionReport(
-        "casimir-annihilation", "P^{ts} (dc^i)_s = 0", tol)
+    points = grid.sample() if points is None else points
+    q = points.coords
+    P = ps.bivector.components(q)
+    dP = jacobian(ps.bivector, q, scheme)  # [..., l, t, s]
+    contraction = (np.einsum("...lm,...lns->...mns", P, dP)
+                   + np.einsum("...ln,...lsm->...mns", P, dP)
+                   + np.einsum("...ls,...lmn->...mns", P, dP))
+    annihilation = np.zeros(len(q))
+    for c in ps.casimirs:
+        dc = dsl.gradient_field(c, scheme).components(q)
+        annihilation = np.maximum(
+            annihilation, pointwise_max_abs(matvec(P, dc)))
 
-    grads = [dsl.gradient_field(c, scheme) for c in ps.casimirs]
-    points = grid.sample()
-    ranks = []
-    for p in points:
-        P = ps.bivector.components(p)
-        antisym.add(p, np.max(np.abs(P + P.T)))
-        dP = jacobian(ps.bivector, p, scheme)  # [l, t, s]
-        contraction = (np.einsum("lm,lns->mns", P, dP)
-                       + np.einsum("ln,lsm->mns", P, dP)
-                       + np.einsum("ls,lmn->mns", P, dP))
-        jacobi.add(p, np.max(np.abs(contraction)))
-        annihilation.add(
-            p, max((float(np.max(np.abs(P @ gf.components(p)))) for gf in grads),
-                   default=0.0))
-        ranks.append(bivector_rank(P))
+    ranks = bivector_rank(P)
+    wrong = np.flatnonzero(ranks != ps.expected_rank)
+    if wrong.size:
+        k = wrong[0]
+        raise RegularityError(
+            f"bivector rank {ranks[k]} at {points[k]!r}, expected "
+            f"{ps.expected_rank}", points=[points[k]])
 
-    for i, rank in enumerate(ranks):
-        if rank != ps.expected_rank:
-            raise RegularityError(
-                f"bivector rank {rank} at {points[i]!r}, expected "
-                f"{ps.expected_rank}", points=[points[i]])
+    def report(cid, formula, residuals):
+        return ConditionReport(cid, formula, tol, points=points,
+                               residuals=residuals.tolist())
 
     return PoissonValidationReport(
-        antisymmetry=antisym, jacobi=jacobi, casimir_annihilation=annihilation,
-        rank=ranks[0] if ranks else 0)
+        antisymmetry=report("bivector-antisymmetry", "P^{mn} + P^{nm} = 0",
+                            pointwise_max_abs(P + P.swapaxes(1, 2))),
+        jacobi=report(
+            "bivector-jacobi",
+            "P^{lm} d_l P^{ns} + P^{ln} d_l P^{sm} + P^{ls} d_l P^{mn} = 0",
+            pointwise_max_abs(contraction)),
+        casimir_annihilation=report(
+            "casimir-annihilation", "P^{ts} (dc^i)_s = 0", annihilation),
+        rank=int(ranks[0]) if len(ranks) else 0)
 
 
 def canonical_bivector(dim: int, rank: int) -> TensorField:

@@ -12,7 +12,8 @@ class ConditionReport:
     """Residuals of one scalar condition over a set of points.
 
     ``residuals[i]`` is the max-abs residual over all free indices of the
-    condition at ``points[i]``. ``binding`` marks conditions that decide the
+    condition at ``points[i]``; ``points`` is the evaluated batch (a
+    ``geometry.Points``) and ``residuals`` a list of floats. ``binding`` marks conditions that decide the
     overall verdict (the sufficient-only checks report with binding=False).
     ``status`` overrides the residual-derived label, e.g. "inconclusive" for
     a sufficient condition whose premise fails, or "skipped" when a
@@ -27,10 +28,6 @@ class ConditionReport:
     residuals: list = field(default_factory=list)
     status: str | None = None
     extras: dict = field(default_factory=dict)
-
-    def add(self, point, residual: float):
-        self.points.append(point)
-        self.residuals.append(float(residual))
 
     @property
     def max_residual(self) -> float:

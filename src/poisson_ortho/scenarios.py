@@ -14,18 +14,18 @@ significant digits, no whitespace variation, and no timing data, so two
 runs of the same config are byte-identical.  Wall time appears on the
 text surface only.
 
-Grid evaluation can fan out over threads (POISSON_ORTHO_THREADS, 0 or
-unset = auto): worker threads only warm the per-point memo caches, and
-the verdict pass then assembles reports serially from the warmed
-context, which keeps the output independent of the thread count.
+``run`` samples the grid once and evaluates every check over all of its
+points at once, in one thread: numpy does the per-point arithmetic, and
+the chart context computes each quantity once per grid (or stencil-shifted
+copy of it), so there is no per-point work left to spread over threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +36,7 @@ from .errors import ConfigError
 from .geometry import (
     CENTRAL_2, CENTRAL_4, DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid,
 )
-from .integrability import (
-    Verdict, default_tolerance, equivalence_condition_values,
-    sufficient_condition_values, verdict,
-)
+from .integrability import Verdict, default_tolerance, verdict
 from .liepoisson import (
     BuiltinAlgebra, builtin_algebra, casimir_lie_bracket, ensure_regular_grid,
     killing_form, se3_metric, verify_integral_surface,
@@ -327,10 +324,17 @@ def _load_config_file(path: str) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# parallel warm-up
+# worker count
 
 def thread_count() -> int:
-    """POISSON_ORTHO_THREADS: absent or 0 = auto, <= 1 = serial."""
+    """POISSON_ORTHO_THREADS: absent or 0 = auto, <= 1 = serial.
+
+    ``run`` does not read this: evaluation is serial and batched over the
+    grid. It stays only because the benchmark (``perfbench/run.py``)
+    records it as its ``scenarios.threads`` metric, and it is deleted
+    together with the benchmark change that retires that metric (ROADMAP.md,
+    item 3).
+    """
     raw = os.environ.get("POISSON_ORTHO_THREADS", "").strip()
     if not raw:
         workers = 0
@@ -343,24 +347,6 @@ def thread_count() -> int:
     if workers == 0:
         workers = min(8, os.cpu_count() or 1)
     return workers
-
-
-def _warm_context(ctx: ChartContext, points, workers: int) -> None:
-    """Fill the per-point memo caches from a thread pool.
-
-    The cached quantities are pure functions of the point, so concurrent
-    duplicate computation is harmless and the serial verdict pass that
-    follows reads identical values in a fixed order.
-    """
-    if workers <= 1 or len(points) < 2:
-        return
-
-    def warm(p):
-        equivalence_condition_values(ctx, p)
-        sufficient_condition_values(ctx, p)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(warm, points))
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +377,14 @@ def _integral_surface_setup(name: str, center):
     return None, None
 
 
-def _algebra_extras(config: ScenarioConfig, ctx: ChartContext) -> dict:
+def _algebra_extras(config: ScenarioConfig, ctx: ChartContext, points) -> dict:
     alg = config.algebra
     killing = killing_form(alg.constants)
-    points = config.grid.sample()
 
-    bracket_max = 0.0
-    grams = []
-    for p in points:
-        table = casimir_lie_bracket(alg.constants, alg.structure, p,
-                                    config.scheme)
-        bracket_max = max(bracket_max, float(np.max(np.abs(table))))
-        grams.append({
-            "point": [float(c) for c in p.coords],
-            "matrix": [[float(v) for v in row] for row in ctx.gram_at(p)],
-        })
+    table = casimir_lie_bracket(alg.constants, alg.structure, points, config.scheme)
+    bracket_max = float(np.max(np.abs(table), initial=0.0))
+    grams = [{"point": coords, "matrix": gram}
+             for coords, gram in zip(points.coords.tolist(), ctx.gram_at(points).tolist())]
 
     extras = {
         "algebra": alg.name,
@@ -465,7 +444,7 @@ class RunReport:
                     "center": [float(c) for c in grid.center],
                     "half_width": [float(h) for h in grid.half_width],
                     "points_per_axis": [int(m) for m in grid.points_per_axis],
-                    "point_count": len(grid.sample()),
+                    "point_count": math.prod(grid.points_per_axis),
                 },
                 "scheme": {"kind": self.scenario.scheme.kind,
                            "step": self.scenario.scheme.step},
@@ -485,7 +464,7 @@ class RunReport:
         grid = self.scenario.grid
         lines.append(f"scenario: {self.scenario.name} (dim {self.scenario.dim})")
         lines.append(
-            f"grid: {len(grid.sample())} points, center "
+            f"grid: {math.prod(grid.points_per_axis)} points, center "
             f"{[float(c) for c in grid.center]}, half width "
             f"{[float(h) for h in grid.half_width]}, "
             f"{list(grid.points_per_axis)} per axis")
@@ -545,21 +524,20 @@ class RunReport:
 def run(config: ScenarioConfig) -> RunReport:
     """Validate the structure, evaluate every condition, collect extras."""
     started = time.perf_counter()
-    workers = thread_count()
+    points = config.grid.sample()
     if config.algebra is not None:
-        ensure_regular_grid(config.algebra, config.grid)
+        ensure_regular_grid(config.algebra, config.grid, points)
     tol = config.tol if config.tol is not None else default_tolerance(config.scheme)
     ctx = ChartContext(config.structure, config.metric, config.scheme)
-    validation = validate_poisson(config.structure, config.grid, config.scheme)
+    validation = validate_poisson(config.structure, config.grid, config.scheme,
+                                  points=points)
     result = None
     extras = None
     if validation.ok:
-        points = config.grid.sample()
-        _warm_context(ctx, points, workers)
         result = verdict(config.structure, config.metric, config.grid,
-                         config.scheme, tol, ctx=ctx)
+                         config.scheme, tol, ctx=ctx, points=points)
         if config.algebra is not None:
-            extras = _algebra_extras(config, ctx)
+            extras = _algebra_extras(config, ctx, points)
     return RunReport(
         scenario=config,
         validation=validation,

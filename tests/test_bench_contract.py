@@ -64,3 +64,26 @@ def test_traced_names_and_per_layer_metrics_are_present():
     metrics, absent = bench.per_layer(tracer, [traced], [plain], workers)
     assert absent == []
     assert set(metrics) == set(bench.PER_LAYER)
+
+
+def _multi_point(name, kind=None):
+    # the single-point case above misses any path that runs only for n > 1
+    config = _single_point(name, kind)
+    return replace(config, grid=Grid(config.grid.center, config.grid.half_width, 2))
+
+
+def test_multi_point_traced_names_and_per_layer_metrics_are_present():
+    tracer_mod = _load("tracer")
+    bench = _load("run")
+    configs = [_multi_point("euclid4"), _multi_point("so3", CENTRAL_4)]
+    assert [len(c.grid.sample()) for c in configs] == [16, 8]
+    plain = _timed_pass(configs)
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        traced = _timed_pass(configs)
+    assert tracer.missing == []
+
+    workers = bench.environment(scenarios, np)["workers"]
+    metrics, absent = bench.per_layer(tracer, [traced], [plain], workers)
+    assert absent == []
+    assert set(metrics) == set(bench.PER_LAYER)

@@ -210,6 +210,21 @@ def test_fold_keeps_overflowing_power():
     assert evaluate(differentiate(Pow(Lit(1e-200), -1), 0), []) == 0.0
 
 
+# products and quotients of literals that leave the float range stay
+# unfolded, so the folded form still prints as text the parser accepts
+OVERFLOWING_CONSTANTS = ["1e200*1e200", "1e300/1e-300"]
+
+
+@pytest.mark.parametrize("source", OVERFLOWING_CONSTANTS)
+def test_fold_keeps_overflowing_constant_operations(source):
+    e = parse(source)
+    folded = fold(e)
+    assert folded == e
+    assert parse(to_text(folded)) == e
+    with pytest.raises(ExprDomainError, match="not finite"):
+        evaluate(folded, [])
+
+
 # ---------------------------------------------------------------------------
 # printing round trips
 
@@ -251,6 +266,8 @@ def _exprs(max_axis=3):
 
 @settings(max_examples=200, deadline=None)
 @given(_exprs())
+@example(fold(parse(OVERFLOWING_CONSTANTS[0])))
+@example(fold(parse(OVERFLOWING_CONSTANTS[1])))
 def test_round_trip_random_asts(e):
     assert parse(to_text(e)) == e
 

@@ -58,13 +58,13 @@ def test_constant_field_and_zero_derivative():
 
 
 def test_field_shape_mismatch_rejected():
-    f = TensorField(2, "u", lambda p: np.zeros(3))
+    f = TensorField(2, "u", lambda q: np.zeros((len(q), 3)))
     with pytest.raises(ValueError):
         f.components(Point([0.0, 0.0]))
 
 
 def test_non_finite_value_raises_with_point():
-    f = TensorField(2, "", lambda p: np.array(np.inf))
+    f = TensorField(2, "", lambda q: np.full(len(q), np.inf))
     with pytest.raises(EvaluationError) as err:
         f.components(Point([1.0, 2.0]))
     assert err.value.point == Point([1.0, 2.0])
@@ -87,21 +87,21 @@ def test_partial_of_square_is_two_x():
 
 def test_fourth_order_stencil_exact_on_quartics():
     # the 4-point central stencil differentiates degree <= 4 exactly
-    f = TensorField(1, "", lambda p: np.array(p.coords[0] ** 4))
+    f = TensorField(1, "", lambda q: q[:, 0] ** 4)
     scheme = DerivativeScheme(kind="central-4th-order", step=1e-2)
     got = partial_derivative(f, Point([1.5]), 0, scheme)
     assert got[()] == pytest.approx(4.0 * 1.5 ** 3, rel=1e-11)
 
 
 def test_second_order_stencil():
-    f = TensorField(1, "", lambda p: np.array(math.sin(p.coords[0])))
+    f = TensorField(1, "", lambda q: np.sin(q[:, 0]))
     scheme = DerivativeScheme(kind="central-2nd-order", step=1e-5)
     got = partial_derivative(f, Point([0.4]), 0, scheme)
     assert got[()] == pytest.approx(math.cos(0.4), abs=1e-9)
 
 
 def test_symbolic_scheme_falls_back_to_stencil_for_numeric_fields():
-    f = TensorField(1, "", lambda p: np.array(math.exp(p.coords[0])))
+    f = TensorField(1, "", lambda q: np.exp(q[:, 0]))
     got = partial_derivative(f, Point([0.2]), 0)  # default symbolic-when-available
     assert got[()] == pytest.approx(math.exp(0.2), abs=1e-9)
 
