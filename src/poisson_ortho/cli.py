@@ -16,14 +16,8 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, ExprError, GeometryError
-from .geometry import CENTRAL_2, CENTRAL_4, SYMBOLIC, DerivativeScheme, Grid
+from .geometry import SCHEME_NAMES, DerivativeScheme, Grid
 from .scenarios import BUILTIN_SCENARIOS, ScenarioConfig, load_scenario, run
-
-_SCHEME_BY_FLAG = {
-    "symbolic": SYMBOLIC,
-    "central-4": CENTRAL_4,
-    "central-2": CENTRAL_2,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="points per axis")
     check.add_argument("--tol", type=float,
                        help="zero tolerance for residuals")
-    check.add_argument("--scheme", choices=sorted(_SCHEME_BY_FLAG),
+    check.add_argument("--scheme", choices=sorted(SCHEME_NAMES),
                        help="derivative scheme (default: symbolic)")
     check.add_argument("--fd-step", type=float,
                        help="finite-difference base step")
@@ -86,7 +80,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     grid = _override_grid(config, args)
     scheme = config.scheme
     if args.scheme is not None or args.fd_step is not None:
-        kind = _SCHEME_BY_FLAG[args.scheme] if args.scheme else scheme.kind
+        kind = SCHEME_NAMES[args.scheme] if args.scheme else scheme.kind
         step = args.fd_step if args.fd_step is not None else scheme.step
         try:
             scheme = DerivativeScheme(kind=kind, step=step)

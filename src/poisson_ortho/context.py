@@ -3,12 +3,12 @@
 The integrability conditions all consume the same handful of objects
 (bivector, metric and its inverse, connection coefficients, the
 orthogonal coframe/frame and their derivatives, projectors). They are
-evaluated over a whole batch of points at once: the grid, or one of the
-stencil-shifted copies of it that finite differences visit. The context
-caches every value once per batch, keyed by the batch's coordinates, and
-the fields it hands to derivatives read through that cache, so each
-shifted grid evaluates the metric, frame and projectors once however many
-stencils pass over it.
+evaluated over a whole batch of points at once, an (n, dim) coordinate
+array: the grid, or one of the stencil-shifted copies of it that finite
+differences visit. The context caches every value once per batch, keyed
+by the batch's coordinates, and the fields it hands to derivatives read
+through that cache, so each shifted grid evaluates the metric, frame and
+projectors once however many stencils pass over it.
 
 Two deliberate exceptions to the caching:
 
@@ -28,8 +28,7 @@ import numpy as np
 
 from . import dsl
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, TensorField, as_batch, jacobian,
-    lie_bracket, matvec, unbatch,
+    DEFAULT_SCHEME, DerivativeScheme, TensorField, jacobian, lie_bracket, matvec,
 )
 from .metric import (
     Christoffel, MetricField, christoffel, covariant_derivative_bivector,
@@ -46,9 +45,8 @@ class ChartContext:
 
     ``coframe`` and ``frame`` keep the underlying fields (including any
     exact-derivative backing); values should be read through the ``*_at``
-    accessors, which memoize per batch. Each accessor takes a point, giving
-    arrays without a point axis, or a batch of points (``Points`` or an
-    (n, dim) array), giving arrays with a leading point axis.
+    accessors, which memoize per batch. Each accessor takes an (n, dim)
+    coordinate array and gives arrays with a leading point axis.
     """
 
     def __init__(self, structure: PoissonStructure, metric: MetricField,
@@ -62,7 +60,7 @@ class ChartContext:
         self.dim = structure.dim
         self.codim = structure.codim
         self.coframe = coframe_fields(structure, scheme)
-        self.frame = [sharp_field(metric, w, scheme) for w in self.coframe]
+        self.frame = [sharp_field(metric, w) for w in self.coframe]
         # a numerically raised coframe reads frame_at instead, so every
         # stencil over a shifted grid shares one frame evaluation; when g and
         # the coframe carry exact derivatives, so does the frame (_frame_jet)
@@ -82,12 +80,11 @@ class ChartContext:
         self._batches: dict = {}
         self._fields: dict = {}
 
-    def _cached(self, tag, p, build):
-        coords, single = as_batch(p)
-        values = self._batches.setdefault((coords.tobytes(), single), {})
+    def _cached(self, tag, q, build):
+        values = self._batches.setdefault(q.tobytes(), {})
         value = values.get(tag)
         if value is None:
-            value = values[tag] = unbatch(build(coords), single)
+            value = values[tag] = build(q)
         return value
 
     def _field(self, key, build):
@@ -167,16 +164,14 @@ class ChartContext:
         return self._cached(
             ("nabla_omega", i), p,
             lambda q: covariant_derivative_oneform(
-                self.metric, self.coframe[i], q, self.scheme,
-                gamma=self.christoffel_at(q)))
+                self.coframe[i], q, self.christoffel_at(q), self.scheme))
 
     def nabla_bivector(self, p) -> np.ndarray:
         """(nabla_l P)^{ts} as [..., l, t, s]."""
         return self._cached(
             "nabla_P", p,
             lambda q: covariant_derivative_bivector(
-                self.metric, self.structure.bivector, q, self.scheme,
-                gamma=self.christoffel_at(q)))
+                self.structure.bivector, q, self.christoffel_at(q), self.scheme))
 
     # -- projectors -----------------------------------------------------
 
@@ -206,7 +201,7 @@ class ChartContext:
         return self.projected_frame_field(i, mode)
 
     def frame_bracket(self, i: int, j: int, mode_i: str, mode_j: str, p) -> np.ndarray:
-        """[A xi_i, B xi_j] at p with A, B in {identity, h, v} by mode."""
+        """[A xi_i, B xi_j] at each row of p with A, B in {identity, h, v} by mode."""
         return self._cached(
             ("bracket", i, j, mode_i, mode_j), p,
             lambda q: lie_bracket(self._frame_variant(i, mode_i),
@@ -238,7 +233,7 @@ class ChartContext:
             grad = dsl.gradient_field(self.structure.casimirs[idx], self.scheme)
             if (isinstance(grad, dsl.ExprTensorField)
                     and self.metric.contravariant_constant is not None):
-                return sharp_field(self.metric, grad, self.scheme)
+                return sharp_field(self.metric, grad)
             return self._batch_field(
                 lambda q: matvec(self.metric_inv_at(q), grad.components(q)))
         return self._field(("casimir_sharp", idx), build)
@@ -246,14 +241,12 @@ class ChartContext:
     def casimir_laplacian(self, idx: int, p):
         return self._cached(
             ("laplacian", idx), p,
-            lambda q: laplacian(self.metric, self.structure.casimirs[idx], q,
-                                self.scheme, gamma=self.christoffel_at(q),
-                                gradient_sharp=self.casimir_sharp_field(idx)))
+            lambda q: laplacian(self.metric, self.casimir_sharp_field(idx), q,
+                                self.christoffel_at(q), self.scheme))
 
     def frame_metric_lie_derivative(self, i: int, p) -> np.ndarray:
-        """(L_{xi_i} g)_{sl} at p."""
+        """(L_{xi_i} g)_{sl} at each row of p."""
         return self._cached(
             ("frame_lie_g", i), p,
             lambda q: lie_derivative_metric(
-                self.metric, self.frame[i], q,
-                self.scheme, gamma=self.christoffel_at(q)))
+                self.metric, self.frame[i], q, self.christoffel_at(q), self.scheme))

@@ -14,13 +14,13 @@ Grammar (precedence climbing; '^' binds tightest, then unary minus, then
     VARIABLE := 'x' DIGITS          -- x1 is the first coordinate (axis 0)
     NUMBER   := digits with optional fraction and exponent part, e.g. 2, 0.5, 1e-3
 
-Syntax errors carry the byte offset into the source. Evaluation faults
-(division by zero, sqrt of a negative) raise ExprDomainError naming the
-offending subexpression. ``evaluate`` takes one coordinate vector or an
-(n, dim) array of points, which it evaluates with one numpy operation per
-node; powers and functions use the same libm routines as Python's float
-arithmetic, so a batch gives each point the value a scalar evaluation
-gives.
+Syntax errors carry the byte offset into the source; a literal that
+overflows the float range is one. Evaluation faults (division by zero,
+sqrt of a negative, a non-finite function argument) raise ExprDomainError
+naming the offending subexpression. ``evaluate`` takes an (n, dim) array
+of points, which it evaluates with one numpy operation per node; powers
+and functions use the same libm routines as Python's float arithmetic, so
+each point gets the value a scalar evaluation gives.
 
 The AST is closed under differentiation: ``differentiate`` returns another
 AST built through folding constructors. Only constant folding is performed;
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExprDomainError, ExprSyntaxError
-from .geometry import DEFAULT_SCHEME, Point, Points, TensorField, partial_derivative
+from .geometry import DEFAULT_SCHEME, TensorField, jacobian
 
 FUNCTIONS = ("sin", "cos", "exp", "atan", "sqrt")
 
@@ -112,7 +112,7 @@ def lit(value) -> Expr:
     v = float(value)
     if v < 0.0:
         return Neg(Lit(-v))
-    return Lit(v)
+    return Lit(v + 0.0)  # -0.0 + 0.0 is 0.0, which prints as it parses
 
 
 def varx(axis: int) -> Expr:
@@ -326,6 +326,8 @@ class _Parser:
             self.expect_op(")")
             return inner
         if kind == "number":
+            if not math.isfinite(float(value)):
+                raise ExprSyntaxError("numeric literal overflows the float range", offset)
             return Lit(float(value), offset=offset)
         if kind == "ident":
             if value == "pi":
@@ -352,21 +354,14 @@ def parse(source: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(e: Expr, coords):
-    """Evaluate at a coordinate vector (or Point), giving a float, or at
-    every row of an (n, dim) array, giving an (n,) array."""
-    if isinstance(coords, (Point, Points)):
-        coords = coords.coords
-    coords = np.asarray(coords, dtype=float)
-    batch = coords if coords.ndim == 2 else coords.reshape(1, -1)
+def evaluate(e: Expr, coords) -> np.ndarray:
+    """Evaluate at every row of an (n, dim) array, giving an (n,) array."""
     with np.errstate(all="ignore"):
-        value = _eval(e, batch)
+        value = _eval(e, coords)
     if not np.isfinite(value).all():
         raise ExprDomainError("expression value is not finite", where=to_text(e))
-    if coords.ndim != 2:
-        return float(np.ravel(value)[0])
     if np.ndim(value) == 0:
-        return np.full(len(batch), float(value))
+        return np.full(len(coords), float(value))
     return np.array(value, dtype=float)
 
 
@@ -425,6 +420,9 @@ def _eval(e: Expr, coords):
         return value
     if isinstance(e, Call):
         arg = _eval(e.arg, coords)
+        if not np.isfinite(arg).all():
+            raise ExprDomainError(f"non-finite argument to {e.func}",
+                                  where=to_text(e), offset=e.offset)
         if e.func == "sqrt":
             if np.less(arg, 0.0).any():
                 raise ExprDomainError("sqrt of a negative value",
@@ -502,7 +500,7 @@ def fold(e: Expr) -> Expr:
         c = _as_const(arg)
         if c is not None:
             try:
-                return lit(evaluate(Call(e.func, lit(c)), []))
+                return lit(evaluate(Call(e.func, lit(c)), np.zeros((1, 0)))[0])
             except ExprDomainError:
                 pass
         return Call(e.func, arg)
@@ -672,8 +670,4 @@ def gradient_field(scalar: TensorField, scheme=None) -> TensorField:
         e = scalar.exprs[()]
         return expr_field(dim, "l", [differentiate(e, a) for a in range(dim)])
 
-    def evaluate_fd(coords):
-        return np.stack([partial_derivative(scalar, coords, a, used_scheme)
-                         for a in range(dim)], axis=-1)
-
-    return TensorField(dim, "l", evaluate_fd)
+    return TensorField(dim, "l", lambda q: jacobian(scalar, q, used_scheme))

@@ -6,11 +6,9 @@ one character per slot: 'u' for an upper (contravariant) index, 'l' for a
 lower (covariant) one, '' for scalars. Axes are 0-based throughout the API;
 the expression language's variable names x1..xN map to axes 0..N-1.
 
-Evaluation is batched over points. Functions that take a point accept a
-``Point`` or a coordinate vector, and return arrays without a point axis;
-given a ``Points`` batch or an (n, dim) coordinate array they return
-arrays with a leading axis of length n. A single point is evaluated as a
-batch of one, so both go through the same code.
+Evaluation is batched over points: every evaluator takes an (n, dim)
+coordinate array and returns arrays with a leading axis of length n. A
+single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,6 +24,8 @@ SYMBOLIC = "symbolic-when-available"
 CENTRAL_2 = "central-2nd-order"
 CENTRAL_4 = "central-4th-order"
 SCHEME_KINDS = (CENTRAL_2, CENTRAL_4, SYMBOLIC)
+# the short names configs and the command line use for the scheme kinds
+SCHEME_NAMES = {"symbolic": SYMBOLIC, "central-4": CENTRAL_4, "central-2": CENTRAL_2}
 
 
 class Point:
@@ -60,10 +60,6 @@ class Point:
         return f"Point({inner})"
 
 
-def as_point(p) -> Point:
-    return p if isinstance(p, Point) else Point(p)
-
-
 class Points:
     """An immutable batch of chart points: coordinates of shape (n, dim).
 
@@ -88,27 +84,6 @@ class Points:
 
     def __iter__(self):
         return (Point(c) for c in self.coords)
-
-
-def as_batch(p):
-    """(coords, single): the (n, dim) coordinates of p, and whether p was one point.
-
-    A ``Points`` batch or a 2-d array is a batch; a ``Point`` or a
-    coordinate vector is a batch of one that callers unwrap with ``unbatch``.
-    """
-    if isinstance(p, Points):
-        return p.coords, False
-    if not isinstance(p, Point):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim == 2:
-            return arr, False
-        p = Point(arr)
-    return p.coords[None, :], True
-
-
-def unbatch(value, single: bool):
-    """Drop the point axis of a batch-of-one result."""
-    return value[0] if single else value
 
 
 def pointwise_max_abs(values: np.ndarray) -> np.ndarray:
@@ -210,10 +185,12 @@ class TensorField:
     def has_exact_derivative(self) -> bool:
         return self._partial is not None
 
-    def components(self, p) -> np.ndarray:
-        coords, single = as_batch(p)
-        if coords.shape[1] != self.dim:
-            raise ValueError(f"point dim {coords.shape[1]} != field dim {self.dim}")
+    def components(self, coords) -> np.ndarray:
+        """Components at every row of an (n, dim) coordinate array."""
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2 or coords.shape[1] != self.dim:
+            raise ValueError(
+                f"coordinates have shape {coords.shape}, want (n, {self.dim})")
         out = np.asarray(self._evaluate(coords), dtype=float)
         if out.shape != (len(coords),) + self.shape:
             raise ValueError(f"field produced shape {out.shape[1:]}, want {self.shape}")
@@ -221,7 +198,7 @@ class TensorField:
         if not finite.all():
             bad = Point(coords[int(np.argmin(finite))])
             raise EvaluationError(f"non-finite field value at {bad!r}", point=bad)
-        return unbatch(out, single)
+        return out
 
     def partial_field(self, axis: int) -> "TensorField | None":
         if self._partial is None:
@@ -230,7 +207,7 @@ class TensorField:
 
 
 def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """Componentwise d/dx^axis of the field at p (a point or a batch).
+    """Componentwise d/dx^axis of the field at each row of p, (n, dim).
 
     Exact when the scheme allows it and the field carries a derivative hook;
     otherwise a central stencil, which shifts the whole batch at once by
@@ -241,45 +218,38 @@ def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeSchem
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")
     if scheme.kind == SYMBOLIC and field.has_exact_derivative:
         return field.partial_field(axis).components(p)
-    coords, single = as_batch(p)
-    h = scheme.step_for(coords[:, axis])
+    h = scheme.step_for(p[:, axis])
 
     def at(delta):
-        shifted = coords.copy()
+        shifted = p.copy()
         shifted[:, axis] += delta
         return field.components(shifted)
 
     h_out = h.reshape((-1,) + (1,) * len(field.variance))
     if scheme.kind == CENTRAL_2:
-        out = (at(+h) - at(-h)) / (2.0 * h_out)
-    else:
-        fm2, fm1, fp1, fp2 = at(-2.0 * h), at(-h), at(+h), at(+2.0 * h)
-        out = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_out)
-    return unbatch(out, single)
+        return (at(+h) - at(-h)) / (2.0 * h_out)
+    fm2, fm1, fp1, fp2 = at(-2.0 * h), at(-h), at(+h), at(+2.0 * h)
+    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_out)
 
 
 def jacobian(field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """All partials stacked: result[..., axis, :] = d_axis components."""
-    coords, single = as_batch(p)
-    out = np.stack([partial_derivative(field, coords, a, scheme)
-                    for a in range(field.dim)], axis=1)
-    return unbatch(out, single)
+    """All partials stacked: result[k, axis, ...] = d_axis components at point k."""
+    return np.stack([partial_derivative(field, p, a, scheme)
+                     for a in range(field.dim)], axis=1)
 
 
 def lie_bracket(x_field: TensorField, y_field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """[X, Y]^mu = X^lam d_lam Y^mu - Y^lam d_lam X^mu at p."""
+    """[X, Y]^mu = X^lam d_lam Y^mu - Y^lam d_lam X^mu at each row of p."""
     if x_field.variance != "u" or y_field.variance != "u":
         raise ValueError("lie_bracket expects two vector fields")
     if x_field.dim != y_field.dim:
         raise ValueError("vector fields live on charts of different dimension")
-    coords, single = as_batch(p)
-    xv = x_field.components(coords)
-    yv = y_field.components(coords)
-    dy = jacobian(y_field, coords, scheme)
-    dx = jacobian(x_field, coords, scheme)
-    out = (np.einsum("...l,...lm->...m", xv, dy)
-           - np.einsum("...l,...lm->...m", yv, dx))
-    return unbatch(out, single)
+    xv = x_field.components(p)
+    yv = y_field.components(p)
+    dy = jacobian(y_field, p, scheme)
+    dx = jacobian(x_field, p, scheme)
+    return (np.einsum("...l,...lm->...m", xv, dy)
+            - np.einsum("...l,...lm->...m", yv, dx))
 
 
 @dataclass(frozen=True)

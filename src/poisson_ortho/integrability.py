@@ -20,8 +20,8 @@ parallel coframe) are reported as well but never flip the verdict: when
 they fail they are merely inconclusive.
 
 Every condition is evaluated once over the whole grid: the value
-functions take a point, giving floats, or a batch of points, giving one
-residual per point.
+functions take an (n, dim) coordinate array and give one residual per
+point.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 from .context import ChartContext
 from .errors import GeometryError
 from .geometry import (
-    DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid, Point, as_batch, matvec,
-    pointwise_max_abs, unbatch,
+    DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid, Point, matvec,
+    pointwise_max_abs,
 )
 from .metric import MetricField
 from .poisson import (
@@ -98,11 +98,6 @@ def _pairs(codim: int):
     return [(i, j) for i in range(codim) for j in range(i + 1, codim)]
 
 
-def _unbatch_values(vals: dict, single: bool) -> dict:
-    """Per-point residual arrays, or floats for a single point."""
-    return {key: float(v[0]) if single else v for key, v in vals.items()}
-
-
 class _Maxima(dict):
     """Running per-point maxima of residuals, one array per condition."""
 
@@ -131,9 +126,8 @@ def _vecmat(vector, matrix):
     return np.einsum("...l,...lm->...m", vector, matrix)
 
 
-def equivalence_condition_values(ctx: ChartContext, p) -> dict:
-    """Max-abs residual of each of the six conditions at p, or per point of a batch."""
-    q, single = as_batch(p)
+def equivalence_condition_values(ctx: ChartContext, q) -> dict:
+    """Max-abs residual of each of the six conditions at each row of q."""
     P = ctx.bivector_at(q)
     g = ctx.metric_at(q)
     ginv = ctx.metric_inv_at(q)
@@ -171,19 +165,18 @@ def equivalence_condition_values(ctx: ChartContext, p) -> dict:
             ctx.projector_v(q), ctx.frame_bracket(i, j, "h", "h", q)))
 
         vals.record("nijenhuis-torsion", _frame_torsion(ctx, i, j, q))
-    return _unbatch_values(vals, single)
+    return vals
 
 
 # ---------------------------------------------------------------------------
 # sufficient-only conditions
 
-def sufficient_condition_values(ctx: ChartContext, p) -> dict:
-    """Raw residuals of the three sufficient conditions at p, or per point of a batch.
+def sufficient_condition_values(ctx: ChartContext, q) -> dict:
+    """Raw residuals of the three sufficient conditions at each row of q.
 
     Returns condition id -> residual, plus the premise residual for the
     parallel-coframe condition under the key "parallel-coframe-premise".
     """
-    q, single = as_batch(p)
     P = ctx.bivector_at(q)
     coframe = ctx.coframe_at(q)
     frame = ctx.frame_at(q)
@@ -218,7 +211,7 @@ def sufficient_condition_values(ctx: ChartContext, p) -> dict:
         vals.record("parallel-coframe", ctx.frame_metric_lie_derivative(i, q))
     for idx in range(len(ctx.structure.casimirs)):
         vals.record("parallel-coframe", ctx.casimir_laplacian(idx, q))
-    return _unbatch_values(vals, single)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +253,8 @@ def _canonical_points(P: np.ndarray, rank: int) -> np.ndarray:
             | np.all(P == -pattern, axis=(-2, -1)))
 
 
-def canonical_chart_symmetry(ctx: ChartContext, p):
-    """Christoffel-form Frobenius residual in a canonical chart at p, or per
-    point of a batch.
+def canonical_chart_symmetry(ctx: ChartContext, q) -> np.ndarray:
+    """Christoffel-form Frobenius residual in a canonical chart at each row of q.
 
     With the bivector in canonical block form the leaf coordinates t index
     the 1-forms theta_t = g(d_t, .), which span the annihilator of the
@@ -273,7 +265,6 @@ def canonical_chart_symmetry(ctx: ChartContext, p):
     symmetry Gamma_{JIt} = Gamma_{IJt} alone is equivalent only where the
     metric has no transversal-leaf entries g_{It}.
     """
-    q, single = as_batch(p)
     off = np.flatnonzero(~_canonical_points(ctx.bivector_at(q),
                                             ctx.structure.expected_rank))
     if off.size:
@@ -287,7 +278,7 @@ def canonical_chart_symmetry(ctx: ChartContext, p):
     for i, j in _pairs(ctx.codim):
         residual.record("chart", np.einsum(
             "...a,...b,...abt->...t", frame[..., i], frame[..., j], dtheta))
-    return unbatch(residual["chart"], single)
+    return residual["chart"]
 
 
 # ---------------------------------------------------------------------------

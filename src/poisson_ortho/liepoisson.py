@@ -367,10 +367,10 @@ def casimir_lie_bracket(sc: StructureConstants, ps: PoissonStructure, p,
     """Bracket table of the coframe covectors viewed as algebra elements.
 
     On the dual space a covector is itself an algebra element, so the
-    coframe at p can be bracketed entrywise under the structure
-    constants: out[..., i, j, :] = [w^i(p), w^j(p)], with a leading point
-    axis when p is a batch.  An all-zero table is the abelian criterion
-    for the span of the Casimir differentials at p.
+    coframe at each row of p, (n, dim), can be bracketed entrywise under
+    the structure constants: out[k, i, j, :] = [w^i, w^j] at point k.  An
+    all-zero table is the abelian criterion for the span of the Casimir
+    differentials there.
     """
     rows = [w.components(p) for w in coframe_fields(ps, scheme)]
     d = len(rows)
@@ -420,7 +420,7 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
                   for raw in samples]
     points = Points([np.asarray(surface(*params), dtype=float).reshape(-1)
                      for params in all_params])
-    frames = ctx.frame_at(points)
+    frames = ctx.frame_at(points.coords)
     residuals = []
     for params, frame in zip(all_params, frames):
         sigma = np.linalg.svd(frame, compute_uv=False)

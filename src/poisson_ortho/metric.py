@@ -9,8 +9,9 @@ Index conventions (0-based axes, einsum letters in comments):
 
 Both Christoffel arrays are symmetric in their last two slots (torsion-free)
 and metric compatibility nabla g = 0 holds by construction. Every function
-takes a point or a batch of points (see ``geometry``); over a batch the
-arrays gain a leading point axis.
+takes an (n, dim) coordinate array (see ``geometry``) and returns arrays
+with a leading point axis. The derivative functions take the Christoffel
+symbols of the same points, which callers compute once and share.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from . import dsl
 from .errors import DegeneracyError
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Point, TensorField, as_batch, jacobian,
-    matvec, unbatch,
+    DEFAULT_SCHEME, DerivativeScheme, Point, TensorField, jacobian, matvec,
 )
 
 INVERSE_CHECK_TOL = 1e-10
@@ -110,13 +110,12 @@ def reject_singular(matrix, what):
 
 
 def inverse_metric(m: MetricField, p) -> np.ndarray:
-    """g^{mu nu} at p; raises DegeneracyError when g is singular there."""
-    coords, single = as_batch(p)
+    """g^{mu nu} at each row of p; raises DegeneracyError where g is singular."""
     if m.contravariant_constant is not None:
-        shape = (len(coords),) + m.contravariant_constant.shape
-        return unbatch(np.broadcast_to(m.contravariant_constant, shape), single)
-    g = m.components(coords)
-    reject_singular(g, lambda k: f"metric at {Point(coords[k])!r}")
+        return np.broadcast_to(m.contravariant_constant,
+                               (len(p),) + m.contravariant_constant.shape)
+    g = m.components(p)
+    reject_singular(g, lambda k: f"metric at {Point(p[k])!r}")
     ginv = np.linalg.inv(g)
     off = np.max(np.abs(ginv @ g - np.eye(m.dim)), axis=(1, 2))
     failed = np.flatnonzero(off > INVERSE_CHECK_TOL)
@@ -124,67 +123,51 @@ def inverse_metric(m: MetricField, p) -> np.ndarray:
         k = failed[0]
         cond = float(np.linalg.cond(g[k]))
         raise DegeneracyError(
-            f"metric inversion at {Point(coords[k])!r} failed the identity check "
+            f"metric inversion at {Point(p[k])!r} failed the identity check "
             f"(condition number {cond:.3e})",
             detail={"cond": cond, "matrix": g[k].copy()})
-    return unbatch(ginv, single)
+    return ginv
 
 
 @dataclass(frozen=True)
 class Christoffel:
-    """Connection coefficients at a point or over a batch, both kinds."""
+    """Connection coefficients over a batch of points, both kinds."""
 
-    first_kind: np.ndarray   # [..., a, b, c] = Gamma_{abc}
-    second_kind: np.ndarray  # [..., s, b, c] = Gamma^s_{bc}
-
-    def __getitem__(self, index) -> "Christoffel":
-        """The coefficients at point ``index`` of a batch."""
-        return Christoffel(self.first_kind[index], self.second_kind[index])
+    first_kind: np.ndarray   # [k, a, b, c] = Gamma_{abc} at point k
+    second_kind: np.ndarray  # [k, s, b, c] = Gamma^s_{bc} at point k
 
 
 def christoffel(m: MetricField, p, scheme: DerivativeScheme = DEFAULT_SCHEME) -> Christoffel:
-    coords, single = as_batch(p)
-    dg = jacobian(m.field, coords, scheme)  # dg[..., b, d, c] = d_b g_{dc}
+    dg = jacobian(m.field, p, scheme)  # dg[..., b, d, c] = d_b g_{dc}
     first = 0.5 * (np.einsum("...bac->...abc", dg) + np.einsum("...cab->...abc", dg)
                    - dg)
-    ginv = inverse_metric(m, coords)
-    second = np.einsum("...ad,...dbc->...abc", ginv, first)
-    return unbatch(Christoffel(first_kind=first, second_kind=second), single)
+    second = np.einsum("...ad,...dbc->...abc", inverse_metric(m, p), first)
+    return Christoffel(first_kind=first, second_kind=second)
 
 
-def covariant_derivative_oneform(m: MetricField, omega: TensorField, p,
-                                 scheme: DerivativeScheme = DEFAULT_SCHEME,
-                                 gamma: Christoffel | None = None) -> np.ndarray:
-    """(nabla_l w)_s as the array [l, s]."""
+def covariant_derivative_oneform(omega: TensorField, p, gamma: Christoffel,
+                                 scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
+    """(nabla_l w)_s as the array [k, l, s]."""
     if omega.variance != "l":
         raise ValueError("expected a one-form field")
     dw = jacobian(omega, p, scheme)  # [..., l, s]
-    g2 = (gamma or christoffel(m, p, scheme)).second_kind
-    return dw - np.einsum("...gls,...g->...ls", g2, omega.components(p))
+    return dw - np.einsum("...gls,...g->...ls", gamma.second_kind, omega.components(p))
 
 
-def covariant_derivative_bivector(m: MetricField, biv: TensorField, p,
-                                  scheme: DerivativeScheme = DEFAULT_SCHEME,
-                                  gamma: Christoffel | None = None) -> np.ndarray:
-    """(nabla_l P)^{ts} as the array [l, t, s]."""
+def covariant_derivative_bivector(biv: TensorField, p, gamma: Christoffel,
+                                  scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
+    """(nabla_l P)^{ts} as the array [k, l, t, s]."""
     if biv.variance != "uu":
         raise ValueError("expected a contravariant 2-tensor field")
     dP = jacobian(biv, p, scheme)  # [..., l, t, s]
-    g2 = (gamma or christoffel(m, p, scheme)).second_kind
+    g2 = gamma.second_kind
     P = biv.components(p)
     correction = (np.einsum("...tlm,...ms->...lts", g2, P)
                   + np.einsum("...slm,...tm->...lts", g2, P))
     return dP + correction
 
 
-def sharp(m: MetricField, covector, p) -> np.ndarray:
-    """Raise an index: component vector g^{mu nu} w_nu at p."""
-    covector = np.asarray(covector, dtype=float)
-    return matvec(inverse_metric(m, p), covector)
-
-
-def sharp_field(m: MetricField, omega: TensorField,
-                scheme: DerivativeScheme = DEFAULT_SCHEME) -> TensorField:
+def sharp_field(m: MetricField, omega: TensorField) -> TensorField:
     """The vector field x -> g^{-1}(x) w(x) for a one-form field w.
 
     When the raising map is an exact constant matrix and the one-form is
@@ -210,35 +193,22 @@ def sharp_field(m: MetricField, omega: TensorField,
     return TensorField(dim, "u", evaluate_at)
 
 
-def lie_derivative_metric(m: MetricField, x_field: TensorField, p,
-                          scheme: DerivativeScheme = DEFAULT_SCHEME,
-                          gamma: Christoffel | None = None) -> np.ndarray:
-    """(L_X g)_{sl} = g_{gl} nabla_s X^g + g_{sg} nabla_l X^g at p."""
+def lie_derivative_metric(m: MetricField, x_field: TensorField, p, gamma: Christoffel,
+                          scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
+    """(L_X g)_{sl} = g_{gl} nabla_s X^g + g_{sg} nabla_l X^g at each row of p."""
     if x_field.variance != "u":
         raise ValueError("expected a vector field")
     g = m.components(p)
     dX = jacobian(x_field, p, scheme)  # [..., s, g] = d_s X^g
-    g2 = (gamma or christoffel(m, p, scheme)).second_kind
     # nabla_s X^g
-    covX = dX + np.einsum("...gsm,...m->...sg", g2, x_field.components(p))
+    covX = dX + np.einsum("...gsm,...m->...sg", gamma.second_kind, x_field.components(p))
     return (np.einsum("...gl,...sg->...sl", g, covX)
             + np.einsum("...sg,...lg->...sl", g, covX))
 
 
-def laplacian(m: MetricField, scalar: TensorField, p,
-              scheme: DerivativeScheme = DEFAULT_SCHEME,
-              gamma: Christoffel | None = None,
-              gradient_sharp: TensorField | None = None):
-    """Laplace-Beltrami of a scalar via 1/2 g^{lm} (L_{grad^sharp} g)_{lm}.
-
-    ``gradient_sharp`` may supply a precomputed raised-gradient field of
-    the scalar (callers that evaluate on many nearby points pass a cached
-    one); it must agree with sharp(d scalar).
-    """
-    if scalar.variance != "":
-        raise ValueError("expected a scalar field")
-    if gradient_sharp is None:
-        grad = dsl.gradient_field(scalar, scheme)
-        gradient_sharp = sharp_field(m, grad, scheme)
-    lie = lie_derivative_metric(m, gradient_sharp, p, scheme, gamma=gamma)
+def laplacian(m: MetricField, gradient_sharp: TensorField, p, gamma: Christoffel,
+              scheme: DerivativeScheme = DEFAULT_SCHEME):
+    """Laplace-Beltrami of a scalar c at each row of p, given the raised
+    gradient field grad^sharp c: 1/2 g^{lm} (L_{grad^sharp c} g)_{lm}."""
+    lie = lie_derivative_metric(m, gradient_sharp, p, gamma, scheme)
     return 0.5 * np.einsum("...lm,...lm->...", inverse_metric(m, p), lie)

@@ -16,8 +16,8 @@ import numpy as np
 from . import dsl
 from .errors import DegeneracyError, RegularityError
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Grid, Point, TensorField, as_batch, jacobian,
-    matvec, pointwise_max_abs,
+    DEFAULT_SCHEME, DerivativeScheme, Grid, Point, TensorField, jacobian, matvec,
+    pointwise_max_abs,
 )
 from .reports import ConditionReport, PoissonValidationReport
 
@@ -103,9 +103,8 @@ def coframe_fields(ps: PoissonStructure,
 
 
 def check_gram_nondegenerate(gram: np.ndarray, p) -> None:
-    """Raise DegeneracyError at the first point p (of a batch) whose frame
+    """Raise DegeneracyError at the first row of p, (n, dim), whose frame
     gram matrix is degenerate."""
-    coords, _ = as_batch(p)
     stack = gram.reshape((-1,) + gram.shape[-2:])
     d = stack.shape[-1]
     scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
@@ -114,7 +113,7 @@ def check_gram_nondegenerate(gram: np.ndarray, p) -> None:
     if degenerate.size:
         k = degenerate[0]
         raise DegeneracyError(
-            f"frame gram matrix is degenerate at {Point(coords[k])!r} "
+            f"frame gram matrix is degenerate at {Point(p[k])!r} "
             f"(|det| = {abs(det[k]):.3e}; pseudo-Riemannian metrics can be "
             f"degenerate on the orthogonal distribution even where the leaf "
             f"is regular)",

@@ -34,7 +34,7 @@ from . import dsl
 from .context import ChartContext
 from .errors import ConfigError
 from .geometry import (
-    CENTRAL_2, CENTRAL_4, DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid,
+    DEFAULT_SCHEME, SCHEME_KINDS, SCHEME_NAMES, DerivativeScheme, Grid,
 )
 from .integrability import Verdict, default_tolerance, verdict
 from .liepoisson import (
@@ -52,15 +52,6 @@ TOOL_VERSION = "0.1.0"
 BUILTIN_SCENARIOS = (
     "euclid4", "model4d-atan", "blockdiag4", "so3", "sl2r", "so3xso3", "se3",
 )
-
-_SCHEME_KINDS = {
-    "symbolic": SYMBOLIC,
-    SYMBOLIC: SYMBOLIC,
-    "central-4": CENTRAL_4,
-    CENTRAL_4: CENTRAL_4,
-    "central-2": CENTRAL_2,
-    CENTRAL_2: CENTRAL_2,
-}
 
 
 @dataclass
@@ -205,7 +196,7 @@ def _parse_grid(doc, dim: int) -> Grid:
 
 def _parse_scheme(doc) -> DerivativeScheme:
     kind = doc.get("kind", "symbolic")
-    if kind not in _SCHEME_KINDS:
+    if kind not in SCHEME_NAMES and kind not in SCHEME_KINDS:
         raise ConfigError(
             f"scheme.kind: unknown kind {kind!r}; choose from "
             f"symbolic, central-4, central-2")
@@ -213,7 +204,7 @@ def _parse_scheme(doc) -> DerivativeScheme:
     if not isinstance(step, (int, float)):
         raise ConfigError("scheme.step: expected a number")
     try:
-        return DerivativeScheme(kind=_SCHEME_KINDS[kind], step=float(step))
+        return DerivativeScheme(kind=SCHEME_NAMES.get(kind, kind), step=float(step))
     except ValueError as exc:
         raise ConfigError(f"scheme: {exc}") from None
 
@@ -381,10 +372,11 @@ def _algebra_extras(config: ScenarioConfig, ctx: ChartContext, points) -> dict:
     alg = config.algebra
     killing = killing_form(alg.constants)
 
-    table = casimir_lie_bracket(alg.constants, alg.structure, points, config.scheme)
+    table = casimir_lie_bracket(alg.constants, alg.structure, points.coords,
+                                config.scheme)
     bracket_max = float(np.max(np.abs(table), initial=0.0))
     grams = [{"point": coords, "matrix": gram}
-             for coords, gram in zip(points.coords.tolist(), ctx.gram_at(points).tolist())]
+             for coords, gram in zip(points.coords.tolist(), ctx.gram_at(points.coords).tolist())]
 
     extras = {
         "algebra": alg.name,

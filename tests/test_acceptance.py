@@ -19,13 +19,13 @@ from poisson_ortho import dsl, scenarios
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError
 from poisson_ortho.geometry import (CENTRAL_4, DerivativeScheme, Grid,
-                                    lie_bracket, partial_derivative)
+                                    lie_bracket, matvec, partial_derivative)
 from poisson_ortho.integrability import EQUIVALENCE_IDS, verdict
 from poisson_ortho.liepoisson import (builtin_algebra, casimir_lie_bracket,
                                       killing_form, se3_metric,
                                       validate_constants,
                                       verify_integral_surface)
-from poisson_ortho.metric import MetricField, inverse_metric, sharp
+from poisson_ortho.metric import MetricField, inverse_metric
 from poisson_ortho.poisson import PoissonStructure, canonical_bivector
 
 INV_PI = 1.0 / math.pi
@@ -103,7 +103,8 @@ def test_criterion_01_shear_detection(builtin_runs):
     ctx = ChartContext(cfg.structure, cfg.metric, cfg.scheme)
     w = rep.verdict.report("frobenius-curvature").witness
     assert w.coords[1] == 0.0
-    vec = ctx.projector_v(w) @ ctx.frame_bracket(0, 1, "h", "h", w)
+    q = w.coords[None, :]
+    vec = matvec(ctx.projector_v(q), ctx.frame_bracket(0, 1, "h", "h", q))[0]
     assert np.allclose(vec, [0.0, 0.0, INV_PI, 0.0], atol=1e-9)
 
     # same detection under pure finite differences, looser tolerance
@@ -178,8 +179,8 @@ def test_criterion_03_equivalence_suite(builtin_runs, random_metric_runs):
                     if d["kind"] == "equivalence"], name
 
     for case, (m, v) in enumerate(random_metric_runs):
-        for q in v.report(EQUIVALENCE_IDS[0]).points:
-            lam = np.linalg.eigvalsh(m.components(q))
+        points = v.report(EQUIVALENCE_IDS[0]).points
+        for q, lam in zip(points, np.linalg.eigvalsh(m.components(points.coords))):
             assert lam[0] > 0.5, (case, q)  # stay clearly nondegenerate
         _pointwise_six_flags(v)
         assert not [d for d in v.disagreements
@@ -284,27 +285,27 @@ def test_criterion_07_killing_forms():
 
 @criterion(8, "rigid-motion algebra: closed forms and integral surface")
 def test_criterion_08_se3(builtin_runs):
-    base = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    pairing = se3_metric(0.0, 1.0)
+    base = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+    sharp = inverse_metric(se3_metric(0.0, 1.0), base)[0]
     rng = np.random.default_rng(7)
     for _ in range(5):
         a, b = rng.normal(size=3), rng.normal(size=3)
-        assert np.array_equal(sharp(pairing, np.r_[a, b], base), np.r_[b, a])
-        assert np.array_equal(sharp(pairing, np.r_[np.zeros(3), b], base),
+        assert np.array_equal(sharp @ np.r_[a, b], np.r_[b, a])
+        assert np.array_equal(sharp @ np.r_[np.zeros(3), b],
                               np.r_[b, np.zeros(3)])
 
     rep = builtin_runs["se3"]
     assert rep.exit_code == 0 and rep.verdict.integrable
     cfg = rep.scenario
     ctx = ChartContext(cfg.structure, cfg.metric, cfg.scheme)
-    for q in cfg.grid.sample():
-        x, p = q.coords[:3], q.coords[3:]
-        gram = ctx.gram_at(q)
+    q = cfg.grid.sample().coords
+    brackets = lie_bracket(ctx.frame[0], ctx.frame[1], q, ctx.scheme)
+    for coords, gram, bracket in zip(q, ctx.gram_at(q), brackets):
+        x, p = coords[:3], coords[3:]
         want = np.array([[2.0 * float(x @ p), float(p @ p)],
                          [float(p @ p), 0.0]])
         assert np.allclose(gram, want, atol=1e-12)
         assert abs(np.linalg.det(gram) + float(p @ p) ** 2) <= 1e-12
-        bracket = lie_bracket(ctx.frame[0], ctx.frame[1], q, ctx.scheme)
         assert float(np.max(np.abs(bracket))) <= 1e-12
 
     # the exponential screw surface stays tangent to the orthogonal frame
@@ -320,7 +321,7 @@ def test_criterion_08_se3(builtin_runs):
     assert surf.holds and surf.max_residual <= 1e-9
 
     # adding a rotational block shifts the spectrum to (1 +/- sqrt 5)/2
-    lam = np.linalg.eigvalsh(inverse_metric(se3_metric(1.0, 1.0), base))
+    lam = np.linalg.eigvalsh(inverse_metric(se3_metric(1.0, 1.0), base)[0])
     root = math.sqrt(5.0)
     want = np.sort([(1.0 - root) / 2.0] * 3 + [(1.0 + root) / 2.0] * 3)
     assert np.allclose(lam, want, atol=1e-12)
@@ -339,9 +340,8 @@ def test_criterion_09_compact(builtin_runs):
     assert builtin_runs["so3xso3"].extras["casimir_bracket_max_abs"] == 0.0
     alg = builtin_algebra("so3xso3")
     cfg = builtin_runs["so3xso3"].scenario
-    worst = max(
-        float(np.max(np.abs(casimir_lie_bracket(alg.constants, cfg.structure, q))))
-        for q in cfg.grid.sample())
+    worst = float(np.max(np.abs(casimir_lie_bracket(
+        alg.constants, cfg.structure, cfg.grid.sample().coords))))
     assert worst == 0.0
 
     surf = builtin_runs["so3"].extras["integral_surface"]
@@ -365,11 +365,11 @@ def test_criterion_10_degeneracy():
 # ---------------------------------------------------------------------------
 # criterion 11: expression engine round trips and derivative cross-checks
 
-_PROBES = (
+_PROBES = np.array([
     (0.31, -0.74, 0.52, -0.18),
     (-0.63, 0.41, -0.27, 0.83),
     (0.12, 0.95, -0.49, 0.44),
-)
+])
 
 
 def _random_source(rng, depth) -> str:
@@ -407,14 +407,14 @@ def test_criterion_11_expressions():
         assert attempts < 4000, "generator rejected too many candidates"
         source = _random_source(rng, 3)
         expr = dsl.parse(source)
-        vals = [dsl.evaluate(expr, q) for q in _PROBES]
+        vals = dsl.evaluate(expr, _PROBES)
         # keep magnitudes small so the stencil comparison stays clean
         if not all(math.isfinite(v) and abs(v) < 100.0 for v in vals):
             continue
         derivs = {}
         for axis in range(4):
             dexpr = dsl.differentiate(expr, axis)
-            dvals = [dsl.evaluate(dexpr, q) for q in _PROBES]
+            dvals = dsl.evaluate(dexpr, _PROBES)
             if all(math.isfinite(v) and abs(v) < 1e4 for v in dvals):
                 derivs[axis] = dvals
         if len(derivs) < 4:
@@ -423,13 +423,13 @@ def test_criterion_11_expressions():
         text = dsl.to_text(expr)
         again = dsl.parse(text)
         assert dsl.to_text(again) == text, source
-        for q, v in zip(_PROBES, vals):
-            assert dsl.evaluate(again, q) == v, source
+        for q, v, w in zip(_PROBES, vals, dsl.evaluate(again, _PROBES)):
+            assert w == v, source
 
         field = dsl.scalar_field(source, 4)
         for axis in range(4):
-            for q, exact in zip(_PROBES, derivs[axis]):
-                approx = float(partial_derivative(field, q, axis, fd))
+            approxes = partial_derivative(field, _PROBES, axis, fd)
+            for q, exact, approx in zip(_PROBES, derivs[axis], approxes):
                 assert abs(approx - exact) <= 1e-7 * max(1.0, abs(exact)), \
                     (source, axis, q)
         kept += 1
@@ -438,7 +438,7 @@ def test_criterion_11_expressions():
     shear = dsl.parse("atan(x2) / pi")
     dshear = dsl.differentiate(shear, 1)
     for x2 in (-1.3, -0.4, 0.0, 0.7, 2.1):
-        got = dsl.evaluate(dshear, (0.2, x2, -0.8, 0.5))
+        got = dsl.evaluate(dshear, np.array([(0.2, x2, -0.8, 0.5)]))[0]
         want = 1.0 / (math.pi * (1.0 + x2 * x2))
         assert got == pytest.approx(want, abs=1e-12)
 

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from bracket_oracle import bracket_obstruction
+from bracket_oracle import bracket_obstruction, leaf_transport
 from poisson_ortho.geometry import Grid
 from poisson_ortho.integrability import EQUIVALENCE_IDS, verdict
 from poisson_ortho.liepoisson import builtin_algebra, linear_poisson, se3_metric
@@ -174,6 +174,21 @@ def test_matrix_bivector_config_matches_oracle(tmp_path):
     assert expected.min() > 1e-3
     _assert_matches_oracle(report.verdict, expected)
     assert report.exit_code == 1
+
+
+def test_so3_leaf_transport_matches_oracle_pointwise():
+    # a curved metric on so3, so the connection term of nabla_{xi_i} t_a is
+    # neither zero nor a constant-column shift that max-abs could hide
+    alg = builtin_algebra("so3")
+    metric = [["1 + x1^2/4", "0.1*x3", "0"], ["0.1*x3", "1", "0"],
+              ["0", "0", "1 + x2^2/8"]]
+    grid = Grid.cube(list(alg.default_center), alg.default_half_width, 3)
+    expected = leaf_transport(_coords(grid), bivector=_so3(),
+                              casimirs=BUILTINS["so3"]["casimirs"], metric=metric)
+    assert expected.max() > 0.1
+    v = verdict(alg.structure, MetricField.from_entries(3, metric), grid)
+    got = np.array(v.report("leaf-parallel-transport").residuals)
+    assert np.max(np.abs(got - expected)) <= 1e-9
 
 
 def test_oracle_needs_exactly_one_metric():

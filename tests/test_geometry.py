@@ -12,6 +12,11 @@ from poisson_ortho.geometry import (
 )
 
 
+def pt(*coords):
+    """A batch of one point: the (1, dim) coordinate array."""
+    return np.array([coords], dtype=float)
+
+
 def vec(dim, sources):
     return dsl.expr_field(dim, "u", sources)
 
@@ -50,30 +55,36 @@ def test_scheme_step_scales_with_coordinate_magnitude():
 
 def test_constant_field_and_zero_derivative():
     f = TensorField.constant(3, "ll", np.eye(3))
-    p = Point([4.0, 5.0, 6.0])
-    assert np.array_equal(f.components(p), np.eye(3))
+    p = pt(4.0, 5.0, 6.0)
+    assert np.array_equal(f.components(p)[0], np.eye(3))
     assert f.is_constant
-    d = partial_derivative(f, p, 2)
+    d = partial_derivative(f, p, 2)[0]
     assert np.array_equal(d, np.zeros((3, 3)))
 
 
 def test_field_shape_mismatch_rejected():
     f = TensorField(2, "u", lambda q: np.zeros((len(q), 3)))
     with pytest.raises(ValueError):
-        f.components(Point([0.0, 0.0]))
+        f.components(pt(0.0, 0.0))
 
 
 def test_non_finite_value_raises_with_point():
     f = TensorField(2, "", lambda q: np.full(len(q), np.inf))
     with pytest.raises(EvaluationError) as err:
-        f.components(Point([1.0, 2.0]))
+        f.components(pt(1.0, 2.0))
     assert err.value.point == Point([1.0, 2.0])
 
 
 def test_point_dimension_checked_against_field():
     f = TensorField.constant(3, "u", np.ones(3))
     with pytest.raises(ValueError):
-        f.components(Point([1.0, 2.0]))
+        f.components(pt(1.0, 2.0))
+
+
+def test_components_reject_a_coordinate_vector():
+    f = TensorField.constant(2, "u", np.ones(2))
+    with pytest.raises(ValueError, match=r"want \(n, 2\)"):
+        f.components(np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -81,54 +92,54 @@ def test_point_dimension_checked_against_field():
 
 def test_partial_of_square_is_two_x():
     f = dsl.scalar_field("x2^2", 2)
-    got = partial_derivative(f, Point([0.0, 1.0]), 1)
-    assert got[()] == pytest.approx(2.0, abs=1e-12)
+    got = partial_derivative(f, pt(0.0, 1.0), 1)
+    assert got[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fourth_order_stencil_exact_on_quartics():
     # the 4-point central stencil differentiates degree <= 4 exactly
     f = TensorField(1, "", lambda q: q[:, 0] ** 4)
     scheme = DerivativeScheme(kind="central-4th-order", step=1e-2)
-    got = partial_derivative(f, Point([1.5]), 0, scheme)
-    assert got[()] == pytest.approx(4.0 * 1.5 ** 3, rel=1e-11)
+    got = partial_derivative(f, pt(1.5), 0, scheme)
+    assert got[0] == pytest.approx(4.0 * 1.5 ** 3, rel=1e-11)
 
 
 def test_second_order_stencil():
     f = TensorField(1, "", lambda q: np.sin(q[:, 0]))
     scheme = DerivativeScheme(kind="central-2nd-order", step=1e-5)
-    got = partial_derivative(f, Point([0.4]), 0, scheme)
-    assert got[()] == pytest.approx(math.cos(0.4), abs=1e-9)
+    got = partial_derivative(f, pt(0.4), 0, scheme)
+    assert got[0] == pytest.approx(math.cos(0.4), abs=1e-9)
 
 
 def test_symbolic_scheme_falls_back_to_stencil_for_numeric_fields():
     f = TensorField(1, "", lambda q: np.exp(q[:, 0]))
-    got = partial_derivative(f, Point([0.2]), 0)  # default symbolic-when-available
-    assert got[()] == pytest.approx(math.exp(0.2), abs=1e-9)
+    got = partial_derivative(f, pt(0.2), 0)  # default symbolic-when-available
+    assert got[0] == pytest.approx(math.exp(0.2), abs=1e-9)
 
 
 def test_symbolic_scheme_uses_exact_derivative_when_present():
     f = dsl.scalar_field("atan(x1)", 1)
-    got = partial_derivative(f, Point([1e12]), 0)
+    got = partial_derivative(f, pt(1e12), 0)
     # stencil would lose this entirely; exact path gives ~1/x^2
-    assert got[()] == pytest.approx(1.0 / (1.0 + 1e24), rel=1e-12)
+    assert got[0] == pytest.approx(1.0 / (1.0 + 1e24), rel=1e-12)
 
 
 def test_forced_fd_scheme_ignores_exact_derivative():
     f = dsl.scalar_field("x1^3", 1)
     scheme = DerivativeScheme(kind="central-4th-order", step=1e-3)
-    got = partial_derivative(f, Point([2.0]), 0, scheme)
-    assert got[()] == pytest.approx(12.0, rel=1e-10)
+    got = partial_derivative(f, pt(2.0), 0, scheme)
+    assert got[0] == pytest.approx(12.0, rel=1e-10)
 
 
 def test_axis_out_of_range():
     f = dsl.scalar_field("x1", 1)
     with pytest.raises(ValueError):
-        partial_derivative(f, Point([0.0]), 1)
+        partial_derivative(f, pt(0.0), 1)
 
 
 def test_jacobian_stacks_axis_first():
     f = vec(2, ["x1*x2", "x2^2"])
-    jac = jacobian(f, Point([2.0, 3.0]))
+    jac = jacobian(f, pt(2.0, 3.0))[0]
     # jac[axis, component]
     assert np.allclose(jac, [[3.0, 0.0], [2.0, 6.0]])
 
@@ -139,7 +150,7 @@ def test_jacobian_stacks_axis_first():
 def test_bracket_of_coordinate_fields_vanishes():
     x = vec(2, ["1", "0"])
     y = vec(2, ["0", "1"])
-    assert np.allclose(lie_bracket(x, y, Point([0.3, -0.8])), 0.0)
+    assert np.allclose(lie_bracket(x, y, pt(0.3, -0.8)), 0.0)
 
 
 def test_bracket_shear_example():
@@ -147,34 +158,34 @@ def test_bracket_shear_example():
     # [X, Y] = -(d2 f) d3, so at the origin the value is (0,0,-1/pi,0)
     x = vec(4, ["1", "0", "(1/pi)*atan(x2)", "0"])
     y = vec(4, ["0", "1", "0", "0"])
-    got = lie_bracket(x, y, Point([0.0, 0.0, 0.0, 0.0]))
+    got = lie_bracket(x, y, pt(0.0, 0.0, 0.0, 0.0))[0]
     assert np.allclose(got, [0.0, 0.0, -1.0 / math.pi, 0.0], atol=1e-12)
 
 
 def test_bracket_antisymmetry():
     x = vec(2, ["x2^2", "x1"])
     y = vec(2, ["x1*x2", "x2"])
-    p = Point([1.2, -0.7])
+    p = pt(1.2, -0.7)
     assert np.allclose(lie_bracket(x, y, p), -lie_bracket(y, x, p), atol=1e-12)
 
 
 def test_bracket_with_self_vanishes():
     x = vec(2, ["x2^2", "sin(x1)"])
-    assert np.allclose(lie_bracket(x, x, Point([0.4, 1.1])), 0.0, atol=1e-12)
+    assert np.allclose(lie_bracket(x, x, pt(0.4, 1.1)), 0.0, atol=1e-12)
 
 
 def test_bracket_rotation_and_radial():
     # rotation field and Euler field commute in the plane
     rot = vec(2, ["-x2", "x1"])
     euler = vec(2, ["x1", "x2"])
-    assert np.allclose(lie_bracket(rot, euler, Point([0.6, 0.8])), 0.0, atol=1e-12)
+    assert np.allclose(lie_bracket(rot, euler, pt(0.6, 0.8)), 0.0, atol=1e-12)
 
 
 def test_bracket_jacobi_identity():
     x = vec(2, ["x2^2", "x1"])
     y = vec(2, ["x1*x2", "x2"])
     z = vec(2, ["1", "x1^2"])
-    p = Point([0.5, 0.25])
+    p = pt(0.5, 0.25)
 
     def bracket_field(a, b):
         return TensorField(2, "u", lambda q: lie_bracket(a, b, q))
@@ -191,7 +202,7 @@ def test_bracket_requires_vector_fields():
     s = dsl.scalar_field("x1", 2)
     v = vec(2, ["1", "0"])
     with pytest.raises(ValueError):
-        lie_bracket(s, v, Point([0.0, 0.0]))
+        lie_bracket(s, v, pt(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

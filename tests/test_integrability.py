@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_ortho import dsl
+from poisson_ortho import dsl, integrability
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError, GeometryError
-from poisson_ortho.geometry import (
-    CENTRAL_2, CENTRAL_4, DerivativeScheme, Grid, Point, as_point,
-)
+from poisson_ortho.geometry import CENTRAL_2, CENTRAL_4, DerivativeScheme, Grid, matvec
 from poisson_ortho.integrability import (
     DEFAULT_TOL_FD, DEFAULT_TOL_SYMBOLIC, EQUIVALENCE_IDS, SUFFICIENT_IDS,
     canonical_block_form_ok, canonical_chart_symmetry, default_tolerance,
@@ -18,6 +16,7 @@ from poisson_ortho.integrability import (
 )
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import PoissonStructure, canonical_bivector
+from poisson_ortho.scenarios import load_scenario, run
 
 INV_PI = 1.0 / np.pi
 
@@ -66,16 +65,22 @@ def so3_structure():
         expected_rank=2)
 
 
-ORIGIN = Point([0.0, 0.0, 0.0, 0.0])
+def pt(*coords):
+    """A batch of one point: the (1, dim) coordinate array."""
+    return np.array([coords], dtype=float)
+
+
+ORIGIN = pt(0.0, 0.0, 0.0, 0.0)
 
 
 def single_point(p):
-    return Grid(center=list(as_point(p).coords), half_width=0.0, points_per_axis=1)
+    return Grid(center=list(p[0]), half_width=0.0, points_per_axis=1)
 
 
 def curvature(ctx, p, i=0, j=1):
-    """v([h xi_i, h xi_j]): the vector the frobenius-curvature residual bounds."""
-    return ctx.projector_v(p) @ ctx.frame_bracket(i, j, "h", "h", p)
+    """v([h xi_i, h xi_j]) at the one point of the batch p: the vector the
+    frobenius-curvature residual bounds."""
+    return matvec(ctx.projector_v(p), ctx.frame_bracket(i, j, "h", "h", p))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +89,7 @@ def curvature(ctx, p, i=0, j=1):
 def test_frobenius_zero_for_flat_case():
     ctx = ChartContext(canonical4(), euclid_metric())
     assert np.max(np.abs(curvature(ctx, ORIGIN))) < 1e-12
-    assert equivalence_condition_values(ctx, ORIGIN)["frobenius-curvature"] < 1e-12
+    assert equivalence_condition_values(ctx, ORIGIN)["frobenius-curvature"][0] < 1e-12
 
 
 def test_frobenius_shear_value_at_origin():
@@ -93,16 +98,16 @@ def test_frobenius_shear_value_at_origin():
     ctx = ChartContext(canonical4(), shear_metric())
     assert np.allclose(curvature(ctx, ORIGIN), [0.0, 0.0, INV_PI, 0.0], atol=1e-8)
     vals = equivalence_condition_values(ctx, ORIGIN)
-    assert vals["frobenius-curvature"] == pytest.approx(INV_PI, abs=1e-8)
+    assert vals["frobenius-curvature"][0] == pytest.approx(INV_PI, abs=1e-8)
 
 
 def test_frobenius_antisymmetric_and_in_leaf_image():
     ctx = ChartContext(canonical4(), shear_metric())
-    p = Point([0.2, 0.4, -0.1, 0.3])
+    p = pt(0.2, 0.4, -0.1, 0.3)
     ab = curvature(ctx, p, 0, 1)
     ba = curvature(ctx, p, 1, 0)
     assert np.allclose(ab, -ba, atol=1e-9)
-    assert np.allclose(ctx.projector_v(p) @ ab, ab, atol=1e-9)
+    assert np.allclose(ctx.projector_v(p)[0] @ ab, ab, atol=1e-9)
 
 
 def test_frobenius_same_argument_vanishes():
@@ -112,7 +117,7 @@ def test_frobenius_same_argument_vanishes():
 
 def test_frobenius_scales_linearly():
     # a constant coframe gauge doubles xi_1, and the curvature is tensorial
-    p = Point([0.1, 0.3, -0.2, 0.4])
+    p = pt(0.1, 0.3, -0.2, 0.4)
     base = ChartContext(canonical4(), shear_metric())
     doubled_ps = PoissonStructure(
         canonical_bivector(4, 2),
@@ -120,8 +125,8 @@ def test_frobenius_scales_linearly():
         2, coframe_scales=[2.0, 1.0])
     doubled = ChartContext(doubled_ps, shear_metric())
     assert np.allclose(curvature(doubled, p), 2.0 * curvature(base, p), atol=1e-9)
-    assert equivalence_condition_values(doubled, p)["frobenius-curvature"] == \
-        pytest.approx(2.0 * equivalence_condition_values(base, p)["frobenius-curvature"],
+    assert equivalence_condition_values(doubled, p)["frobenius-curvature"][0] == \
+        pytest.approx(2.0 * equivalence_condition_values(base, p)["frobenius-curvature"][0],
                       abs=1e-9)
 
 
@@ -130,17 +135,17 @@ def test_frobenius_scales_linearly():
 
 def test_nijenhuis_projector_flat_case():
     ctx = ChartContext(canonical4(), euclid_metric())
-    assert equivalence_condition_values(ctx, ORIGIN)["nijenhuis-torsion"] < 1e-12
+    assert equivalence_condition_values(ctx, ORIGIN)["nijenhuis-torsion"][0] < 1e-12
 
 
 def test_nijenhuis_matches_frobenius_on_frame():
     # dual routes: the four-term torsion formula against v([h., h.])
     ctx = ChartContext(canonical4(), shear_metric())
     for coords in ([0.0] * 4, [0.1, 0.3, -0.2, 0.4]):
-        vals = equivalence_condition_values(ctx, Point(coords))
-        assert vals["nijenhuis-torsion"] == pytest.approx(
-            vals["frobenius-curvature"], abs=1e-8)
-        assert vals["nijenhuis-torsion"] > 0.1
+        vals = equivalence_condition_values(ctx, np.array([coords]))
+        assert vals["nijenhuis-torsion"][0] == pytest.approx(
+            vals["frobenius-curvature"][0], abs=1e-8)
+        assert vals["nijenhuis-torsion"][0] > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +156,14 @@ def test_equivalence_values_flat_case_all_zero():
     vals = equivalence_condition_values(ctx, ORIGIN)
     assert set(vals) == set(EQUIVALENCE_IDS)
     for cid in EQUIVALENCE_IDS:
-        assert vals[cid] == 0.0
+        assert vals[cid][0] == 0.0
 
 
 def test_equivalence_values_shear_at_origin():
     ctx = ChartContext(canonical4(), shear_metric())
     vals = equivalence_condition_values(ctx, ORIGIN)
     for cid in EQUIVALENCE_IDS:
-        assert vals[cid] == pytest.approx(INV_PI, abs=1e-7), cid
+        assert vals[cid][0] == pytest.approx(INV_PI, abs=1e-7), cid
 
 
 def test_equivalence_reports_single_point():
@@ -176,9 +181,9 @@ def test_coframe_vs_frame_derivative_identity(coords):
     # raising commutes with the connection, so the coframe-derivative and
     # frame-derivative contractions are the same number pointwise
     ctx = _SHEAR_CTX
-    vals = equivalence_condition_values(ctx, Point(coords))
-    assert vals["coframe-derivative"] == pytest.approx(
-        vals["frame-derivative"], abs=1e-9)
+    vals = equivalence_condition_values(ctx, np.array([coords]))
+    assert vals["coframe-derivative"][0] == pytest.approx(
+        vals["frame-derivative"][0], abs=1e-9)
 
 
 _SHEAR_CTX = ChartContext(canonical4(), shear_metric())
@@ -189,11 +194,11 @@ def test_bivector_derivative_matches_antisymmetrized_parallel_route():
     # (nabla_{xi_j} P) w^i - (nabla_{xi_i} P) w^j, assembled by hand
     ctx = ChartContext(canonical4(), shear_metric())
     for coords in ([0.0] * 4, [0.3, -0.5, 0.2, 0.8], [0.1, 1.0, 0.0, -0.4]):
-        p = Point(coords)
-        ginv = ctx.metric_inv_at(p)
-        nabla_P = ctx.nabla_bivector(p)
-        frame = ctx.frame_at(p)
-        coframe = ctx.coframe_at(p)
+        p = np.array([coords])
+        ginv = ctx.metric_inv_at(p)[0]
+        nabla_P = ctx.nabla_bivector(p)[0]
+        frame = ctx.frame_at(p)[0]
+        coframe = ctx.coframe_at(p)[0]
         w_i, w_j = coframe[0], coframe[1]
         wedge = np.outer(w_i, w_j) - np.outer(w_j, w_i)
         route_one = np.einsum("la,lts,sa->t", ginv, nabla_P, wedge)
@@ -240,6 +245,29 @@ def test_sufficient_shear_inconclusive():
     assert coframe_rep.extras["premise_max_residual"] > 1e-3
 
 
+def test_sufficient_condition_holding_on_non_integrable_run_is_a_disagreement(monkeypatch):
+    # a sufficient condition that holds implies integrability, so holding on
+    # model4d-atan, which is not integrable, must make the run inconsistent
+    evaluate = integrability.sufficient_condition_values
+
+    def parallel_bivector_holds(ctx, q):
+        vals = evaluate(ctx, q)
+        vals["parallel-bivector-on-kernel"] = np.zeros(len(q))
+        return vals
+
+    monkeypatch.setattr(integrability, "sufficient_condition_values",
+                        parallel_bivector_holds)
+    report = run(load_scenario("model4d-atan"))
+    v = report.verdict
+    assert not v.integrable
+    assert v.report("parallel-bivector-on-kernel").label == "holds"
+    assert [d for d in v.disagreements if d["kind"] == "sufficient-vs-verdict"] == [
+        {"kind": "sufficient-vs-verdict", "condition": "parallel-bivector-on-kernel",
+         "max_residual": 0.0}]
+    assert v.consistent is False
+    assert report.exit_code == 2
+
+
 # ---------------------------------------------------------------------------
 # co-vanishing of the two leaf-component routes
 
@@ -268,24 +296,24 @@ def test_covanishing_shear_both_routes_large():
 # canonical-chart criterion
 
 def test_block_form_gate():
-    pat = canonical_bivector(4, 2).components(ORIGIN)
+    pat = canonical_bivector(4, 2).components(ORIGIN)[0]
     assert canonical_block_form_ok(pat, 2)
     assert canonical_block_form_ok(-pat, 2)
     assert not canonical_block_form_ok(pat, 4)
     almost = pat.copy()
     almost[2, 3] = 1.0 + 1e-15
     assert not canonical_block_form_ok(almost, 2)  # bit-exact comparison
-    linear = so3_structure().bivector.components(Point([0.0, 0.0, 1.0]))
+    linear = so3_structure().bivector.components(pt(0.0, 0.0, 1.0))[0]
     assert not canonical_block_form_ok(linear, 2)
 
 
 def test_chart_symmetry_flat_and_shear():
     assert canonical_chart_symmetry(
-        ChartContext(canonical4(), euclid_metric()), ORIGIN) == 0.0
+        ChartContext(canonical4(), euclid_metric()), ORIGIN)[0] == 0.0
     # hand expansion: Gamma_{102} - Gamma_{012} = -f'(0) and the frame is
     # the coordinate frame at the origin, so the residual is 1/pi
     residual = canonical_chart_symmetry(
-        ChartContext(canonical4(), shear_metric()), ORIGIN)
+        ChartContext(canonical4(), shear_metric()), ORIGIN)[0]
     assert residual == pytest.approx(INV_PI, abs=1e-12)
     assert residual > DEFAULT_TOL_SYMBOLIC
 
@@ -294,7 +322,7 @@ def test_chart_symmetry_refuses_noncanonical_bivector():
     half_metric = MetricField.from_contravariant(2.0 * np.eye(3))
     with pytest.raises(GeometryError, match="canonical"):
         canonical_chart_symmetry(ChartContext(so3_structure(), half_metric),
-                                 [0.0, 0.0, 1.0])
+                                 pt(0.0, 0.0, 1.0))
 
 
 _TRANSVERSAL_LEAF_ATOMS = ("1", "x1", "x2", "x3", "x4", "x1*x3", "x2*x4",
@@ -327,9 +355,9 @@ def test_chart_symmetry_matches_bracket_closure(metric, coords):
     # in a canonical chart both residuals are max_t |theta_t([xi_1, xi_2])|
     # with theta_t = g(d_t, .), so they agree up to rounding at every point
     ctx = ChartContext(canonical4(), metric)
-    p = Point(coords)
-    closure = equivalence_condition_values(ctx, p)["coframe-bracket-closure"]
-    assert canonical_chart_symmetry(ctx, p) == pytest.approx(
+    p = np.array([coords])
+    closure = equivalence_condition_values(ctx, p)["coframe-bracket-closure"][0]
+    assert canonical_chart_symmetry(ctx, p)[0] == pytest.approx(
         closure, rel=1e-9, abs=1e-12)
 
 

@@ -10,7 +10,7 @@ from poisson_ortho.dsl import ExprTensorField
 from poisson_ortho.errors import (
     ConfigError, ConsistencyError, DegeneracyError, RegularityError,
 )
-from poisson_ortho.geometry import Grid, Point, lie_bracket
+from poisson_ortho.geometry import Grid, lie_bracket, matvec
 from poisson_ortho.integrability import verdict
 from poisson_ortho.liepoisson import (
     BUILTIN_NAMES, StructureConstants, builtin_algebra, casimir_lie_bracket,
@@ -18,7 +18,7 @@ from poisson_ortho.liepoisson import (
     linear_poisson_bivector, se3_metric, validate_constants,
     verify_integral_surface,
 )
-from poisson_ortho.metric import sharp
+from poisson_ortho.metric import inverse_metric
 from poisson_ortho.poisson import validate_poisson
 
 
@@ -130,16 +130,16 @@ def test_killing_ad_invariance_all_builtins():
 def test_linear_bivector_so3_point():
     biv = linear_poisson_bivector(builtin_algebra("so3").constants)
     assert isinstance(biv, ExprTensorField)
-    got = biv.components(Point([0.0, 0.0, 1.0]))
+    got = biv.components(np.array([[0.0, 0.0, 1.0]]))[0]
     assert np.array_equal(got, [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
                                 [0.0, 0.0, 0.0]])
-    assert np.array_equal(biv.components(Point([0.0] * 3)), np.zeros((3, 3)))
+    assert np.array_equal(biv.components(np.zeros((1, 3)))[0], np.zeros((3, 3)))
 
 
 def test_linear_bivector_se3_blocks():
     biv = linear_poisson_bivector(builtin_algebra("se3").constants)
     x, p = np.array([0.3, -1.0, 0.7]), np.array([0.2, 0.5, -0.4])
-    got = biv.components(Point(np.concatenate([x, p])))
+    got = biv.components(np.concatenate([x, p])[None, :])[0]
     want = np.block([[hat(x), hat(p)], [hat(p), np.zeros((3, 3))]])
     assert np.array_equal(got, want)
 
@@ -207,14 +207,14 @@ def test_se3_metric_requires_offdiagonal_pairing():
 def test_se3_metric_sharp_swaps_blocks():
     m = se3_metric(0.0, 1.0)
     cov = np.array([0.2, 0.5, -0.4, 0.3, -1.0, 0.7])  # (p, x) layout
-    out = sharp(m, cov, Point([0.0] * 6))
+    out = matvec(inverse_metric(m, np.zeros((1, 6)))[0], cov)
     assert np.array_equal(out, np.concatenate([cov[3:], cov[:3]]))
 
 
 def test_se3_metric_inverse_closed_form():
     m = se3_metric(2.0, 3.0)
-    p = Point([0.0] * 6)
-    prod = m.components(p) @ m.contravariant_constant
+    p = np.zeros((1, 6))
+    prod = m.components(p)[0] @ m.contravariant_constant
     assert np.allclose(prod, np.eye(6), atol=1e-15)
 
 
@@ -244,8 +244,8 @@ def test_se3_metric_ad_invariant():
 
 def test_casimir_bracket_codimension_one_trivial():
     alg = builtin_algebra("so3")
-    table = casimir_lie_bracket(alg.constants, alg.structure, [0.0, 0.0, 1.0])
-    assert table.shape == (1, 1, 3)
+    table = casimir_lie_bracket(alg.constants, alg.structure, np.array([[0.0, 0.0, 1.0]]))
+    assert table.shape == (1, 1, 1, 3)
     assert np.max(np.abs(table)) == 0.0
 
 
@@ -253,8 +253,8 @@ def test_casimir_bracket_so3xso3_abelian():
     alg = builtin_algebra("so3xso3")
     for coords in ([0.0, 0.0, 1.0, 0.0, 0.0, 1.0],
                    [0.3, -0.2, 0.9, 1.0, 0.4, -0.1]):
-        table = casimir_lie_bracket(alg.constants, alg.structure, coords)
-        assert table.shape == (2, 2, 6)
+        table = casimir_lie_bracket(alg.constants, alg.structure, np.array([coords]))
+        assert table.shape == (1, 2, 2, 6)
         assert np.max(np.abs(table)) == 0.0
 
 
@@ -265,7 +265,7 @@ def test_casimir_bracket_se3_abelian_in_scenario_gauge():
     for _ in range(5):
         coords = rng.uniform(-1.0, 1.0, size=6)
         coords[3:] += 2.0  # keep p away from zero
-        table = casimir_lie_bracket(alg.constants, alg.structure, coords)
+        table = casimir_lie_bracket(alg.constants, alg.structure, coords[None, :])
         assert np.max(np.abs(table)) == 0.0
 
 
@@ -276,7 +276,7 @@ def test_se3_frame_bracket_vanishes_exactly():
     for alpha, beta in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
         alg = builtin_algebra("se3", alpha=alpha, beta=beta)
         ctx = ChartContext(alg.structure, alg.metric)
-        p = Point([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+        p = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
         br = lie_bracket(ctx.frame[0], ctx.frame[1], p)
         assert np.max(np.abs(br)) == 0.0
 
@@ -284,12 +284,12 @@ def test_se3_frame_bracket_vanishes_exactly():
 def test_se3_frame_and_gram_at_base_point():
     alg = builtin_algebra("se3")
     ctx = ChartContext(alg.structure, alg.metric)
-    p = Point([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    frame = ctx.frame_at(p)
+    p = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+    frame = ctx.frame_at(p)[0]
     # xi_1 = sharp(p, x) = (x, p), the radial field; xi_2 = sharp(0, p) = (p, 0)
     assert np.array_equal(frame[:, 0], [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     assert np.array_equal(frame[:, 1], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    gram = ctx.gram_at(p)
+    gram = ctx.gram_at(p)[0]
     assert np.array_equal(gram, [[0.0, 1.0], [1.0, 0.0]])  # [[2c1, c2],[c2, 0]]
 
 

@@ -10,13 +10,18 @@ import pytest
 from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError, RegularityError
-from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, Grid, Point, TensorField
+from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, Grid, TensorField
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import (
     PoissonStructure, bivector_rank, canonical_bivector, coframe_fields,
     independent_column_mask, validate_poisson,
 )
 from poisson_ortho.scenarios import ScenarioConfig, run
+
+
+def pt(*coords):
+    """A batch of one point: the (1, dim) coordinate array."""
+    return np.array([coords], dtype=float)
 
 
 def canonical4():
@@ -111,7 +116,7 @@ def test_structure_validation():
 
 
 def test_canonical_bivector_layout():
-    P = canonical_bivector(6, 4).components(Point(np.zeros(6)))
+    P = canonical_bivector(6, 4).components(np.zeros((1, 6)))[0]
     assert P[2, 4] == 1.0 and P[3, 5] == 1.0
     assert P[4, 2] == -1.0 and P[5, 3] == -1.0
     assert np.count_nonzero(P) == 4
@@ -123,18 +128,18 @@ def test_canonical_bivector_layout():
 
 def test_coframe_plain_gradients():
     ws = coframe_fields(canonical4())
-    p = Point([0.3, -0.7, 2.0, 5.0])
-    assert np.allclose(ws[0].components(p), [1, 0, 0, 0])
-    assert np.allclose(ws[1].components(p), [0, 1, 0, 0])
+    p = pt(0.3, -0.7, 2.0, 5.0)
+    assert np.allclose(ws[0].components(p)[0], [1, 0, 0, 0])
+    assert np.allclose(ws[1].components(p)[0], [0, 1, 0, 0])
 
 
 def test_coframe_scales_se3_gauge():
     ws = coframe_fields(se3_structure())
     x = np.array([0.2, -1.0, 0.4])
     mom = np.array([1.5, 0.3, -0.6])
-    p = Point(np.concatenate([x, mom]))
-    assert np.allclose(ws[0].components(p), np.concatenate([mom, x]))
-    assert np.allclose(ws[1].components(p), np.concatenate([np.zeros(3), mom]))
+    p = np.concatenate([x, mom])[None, :]
+    assert np.allclose(ws[0].components(p)[0], np.concatenate([mom, x]))
+    assert np.allclose(ws[1].components(p)[0], np.concatenate([np.zeros(3), mom]))
     # exact-derivative backing must survive the rescaling
     assert isinstance(ws[0], dsl.ExprTensorField)
     assert isinstance(ws[1], dsl.ExprTensorField)
@@ -145,9 +150,9 @@ def test_coframe_scale_expression_and_field():
     scaled = PoissonStructure(
         base.bivector, base.casimirs, 2, coframe_scales=["x2", 2.0])
     ws = coframe_fields(scaled)
-    p = Point([1.0, 3.0, 0.0, 0.0])
-    assert np.allclose(ws[0].components(p), [3, 0, 0, 0])
-    assert np.allclose(ws[1].components(p), [0, 2, 0, 0])
+    p = pt(1.0, 3.0, 0.0, 0.0)
+    assert np.allclose(ws[0].components(p)[0], [3, 0, 0, 0])
+    assert np.allclose(ws[1].components(p)[0], [0, 2, 0, 0])
     assert isinstance(ws[0], dsl.ExprTensorField)
 
     # a plain numeric scale field forces the closure path but same values
@@ -155,7 +160,7 @@ def test_coframe_scale_expression_and_field():
     scaled2 = PoissonStructure(
         base.bivector, base.casimirs, 2, coframe_scales=[half, half])
     ws2 = coframe_fields(scaled2)
-    assert np.allclose(ws2[0].components(p), [0.5, 0, 0, 0])
+    assert np.allclose(ws2[0].components(p)[0], [0.5, 0, 0, 0])
 
 
 def _canonical_config(casimirs) -> ScenarioConfig:
@@ -184,7 +189,7 @@ def test_casimir_coframe_checks_independence():
 
 def test_casimir_coframe_values_so3():
     ctx = ChartContext(so3_structure(), MetricField.from_contravariant(np.eye(3)))
-    assert np.allclose(ctx.coframe_at([0.1, -0.2, 1.0]), [[0.2, -0.4, 2.0]])
+    assert np.allclose(ctx.coframe_at(pt(0.1, -0.2, 1.0))[0], [[0.2, -0.4, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -193,37 +198,37 @@ def test_casimir_coframe_values_so3():
 def test_orthogonal_frame_shear_metric():
     # raising dx1 through the sheared metric tilts the frame into -x3
     ctx = ChartContext(canonical4(), shear_metric())
-    p = Point([0.0, 1.0, 0.0, 0.0])  # f = atan(1)/pi = 1/4 here
-    frame = ctx.frame_at(p)
+    p = pt(0.0, 1.0, 0.0, 0.0)  # f = atan(1)/pi = 1/4 here
+    frame = ctx.frame_at(p)[0]
     assert frame.shape == (4, 2)
     assert np.allclose(frame[:, 0], [16 / 15, 0.0, -4 / 15, 0.0])
     assert np.allclose(frame[:, 1], [0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(ctx.gram_at(p), [[16 / 15, 0.0], [0.0, 1.0]])
-    assert ctx.coframe_at(p).shape == (2, 4)
+    assert np.allclose(ctx.gram_at(p)[0], [[16 / 15, 0.0], [0.0, 1.0]])
+    assert ctx.coframe_at(p)[0].shape == (2, 4)
 
 
 def test_frame_is_metric_orthogonal_to_leaf():
     m = shear_metric()
     ctx = ChartContext(canonical4(), m)
-    p = Point([0.4, -0.3, 1.0, 2.0])
-    P = ctx.bivector_at(p)
+    p = pt(0.4, -0.3, 1.0, 2.0)
+    P = ctx.bivector_at(p)[0]
     B = P[:, independent_column_mask(P)]
-    assert np.max(np.abs(B.T @ m.components(p) @ ctx.frame_at(p))) < 1e-12
+    assert np.max(np.abs(B.T @ m.components(p)[0] @ ctx.frame_at(p)[0])) < 1e-12
 
 
 def test_orthogonal_frame_degenerate_gram():
     # indefinite metric: the frame gram collapses on the cone x1^2/8+x2*x3/2=0
     ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
     with pytest.raises(DegeneracyError, match="degenerate"):
-        ctx.gram_inv_at([0.0, 1.0, 0.0])
+        ctx.gram_inv_at(pt(0.0, 1.0, 0.0))
 
 
 def test_orthogonal_frame_sl2r_generic_point():
     ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
-    p = Point([1.0, 0.0, 0.0])
+    p = pt(1.0, 0.0, 0.0)
     # frame vector is 2*lambda and the gram is 4x the invariant function
-    assert np.allclose(ctx.frame_at(p)[:, 0], [2.0, 0.0, 0.0])
-    assert np.allclose(ctx.gram_at(p), [[0.5]])
+    assert np.allclose(ctx.frame_at(p)[0][:, 0], [2.0, 0.0, 0.0])
+    assert np.allclose(ctx.gram_at(p)[0], [[0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +247,7 @@ def test_independent_columns_deterministic():
 
 
 def test_leaf_basis_canonical():
-    P = canonical4().bivector.components(Point([0.0, 0.0, 0.0, 0.0]))
+    P = canonical4().bivector.components(pt(0.0, 0.0, 0.0, 0.0))[0]
     cols = np.flatnonzero(independent_column_mask(P)).tolist()
     assert cols == [2, 3]
     assert np.allclose(P[:, 2], [0, 0, 0, -1])
@@ -252,29 +257,29 @@ def test_leaf_basis_canonical():
 def test_leaf_operator_kernel_and_image():
     # A = P g: kernel the orthogonal distribution, image the leaf tangent
     ctx = ChartContext(canonical4(), shear_metric())
-    p = Point([0.2, 0.5, -1.0, 3.0])
-    A = ctx.bivector_at(p) @ ctx.metric_at(p)
-    assert np.max(np.abs(A @ ctx.frame_at(p))) < 1e-12
+    p = pt(0.2, 0.5, -1.0, 3.0)
+    A = ctx.bivector_at(p)[0] @ ctx.metric_at(p)[0]
+    assert np.max(np.abs(A @ ctx.frame_at(p)[0])) < 1e-12
     assert bivector_rank(A) == 2
 
 
 def test_projectors_split_identity():
     m = shear_metric()
     ctx = ChartContext(canonical4(), m)
-    p = Point([0.1, 0.8, 0.0, -2.0])
-    v, h = ctx.projector_v(p), ctx.projector_h(p)
+    p = pt(0.1, 0.8, 0.0, -2.0)
+    v, h = ctx.projector_v(p)[0], ctx.projector_h(p)[0]
     assert np.allclose(v + h, np.eye(4))
     assert np.allclose(v @ v, v)
     assert np.allclose(h @ h, h)
     # v fixes the bivector columns, h kills them; the opposite for the frame
-    P = ctx.bivector_at(p)
+    P = ctx.bivector_at(p)[0]
     assert np.allclose(v @ P, P)
     assert np.max(np.abs(h @ P)) < 1e-12
-    frame = ctx.frame_at(p)
+    frame = ctx.frame_at(p)[0]
     assert np.allclose(h @ frame, frame)
     assert np.max(np.abs(v @ frame)) < 1e-12
     # g-self-adjoint: g v = (g v)^T
-    g = m.components(p)
+    g = m.components(p)[0]
     assert np.allclose(g @ v, (g @ v).T)
     assert np.allclose(g @ h, (g @ h).T)
 
@@ -296,9 +301,9 @@ def test_projectors_rank_mismatch():
     assert len(err.value.points) == 1
     # fine away from the degeneracy locus
     ctx = ChartContext(ps, MetricField.constant(np.eye(4)))
-    p = Point([2.0, 5.0, 0.0, 0.0])
-    assert np.allclose(ctx.projector_v(p) + ctx.projector_h(p), np.eye(4))
-    assert np.allclose(ctx.projector_v(p), np.diag([1.0, 1.0, 0.0, 0.0]))
+    p = pt(2.0, 5.0, 0.0, 0.0)
+    assert np.allclose(ctx.projector_v(p)[0] + ctx.projector_h(p)[0], np.eye(4))
+    assert np.allclose(ctx.projector_v(p)[0], np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,33 +384,33 @@ def test_context_matches_pointwise_constructions():
     ps = canonical4()
     m = shear_metric()
     ctx = ChartContext(ps, m)
-    p = Point([0.3, 0.9, -0.4, 1.1])
-    P = ps.bivector.components(p)
-    g = m.components(p)
+    p = pt(0.3, 0.9, -0.4, 1.1)
+    P = ps.bivector.components(p)[0]
+    g = m.components(p)[0]
     B = P[:, independent_column_mask(P)]
     v = B @ np.linalg.inv(B.T @ g @ B) @ B.T @ g
-    assert np.allclose(ctx.projector_v(p), v, atol=1e-12)
-    assert np.allclose(ctx.projector_h(p), np.eye(4) - v, atol=1e-12)
+    assert np.allclose(ctx.projector_v(p)[0], v, atol=1e-12)
+    assert np.allclose(ctx.projector_h(p)[0], np.eye(4) - v, atol=1e-12)
     frame = np.linalg.inv(g)[:, :2]
-    assert np.allclose(ctx.frame_at(p), frame)
-    assert np.allclose(ctx.gram_at(p), frame.T @ g @ frame)
-    assert np.allclose(ctx.metric_inv_at(p) @ ctx.metric_at(p), np.eye(4),
+    assert np.allclose(ctx.frame_at(p)[0], frame)
+    assert np.allclose(ctx.gram_at(p)[0], frame.T @ g @ frame)
+    assert np.allclose(ctx.metric_inv_at(p)[0] @ ctx.metric_at(p)[0], np.eye(4),
                        atol=1e-12)
 
 
 def test_context_memoizes_values():
     ctx = ChartContext(canonical4(), shear_metric())
-    p = Point([0.0, 0.5, 0.0, 0.0])
+    p = pt(0.0, 0.5, 0.0, 0.0)
     first = ctx.projector_h(p)
     assert ctx.projector_h(p) is first
-    assert ctx.projector_h(Point([0.0, 0.5, 0.0, 0.0])) is first  # same coords
-    other = ctx.projector_h(Point([0.0, 0.6, 0.0, 0.0]))
+    assert ctx.projector_h(pt(0.0, 0.5, 0.0, 0.0)) is first  # same coords
+    other = ctx.projector_h(pt(0.0, 0.6, 0.0, 0.0))
     assert other is not first
 
 
 def test_context_frame_keeps_exact_derivatives():
     ctx = ChartContext(canonical4(), MetricField.from_contravariant(np.eye(4)))
-    jac = ctx.frame_jacobian(0, Point([0.0, 0.0, 0.0, 0.0]))
+    jac = ctx.frame_jacobian(0, pt(0.0, 0.0, 0.0, 0.0))[0]
     assert np.array_equal(jac, np.zeros((4, 4)))
     assert isinstance(ctx.frame[0], dsl.ExprTensorField)
 
@@ -413,7 +418,7 @@ def test_context_frame_keeps_exact_derivatives():
 def test_context_gram_degeneracy_propagates():
     ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
     with pytest.raises(DegeneracyError):
-        ctx.projector_h(Point([0.0, 1.0, 0.0]))
+        ctx.projector_h(pt(0.0, 1.0, 0.0))
 
 
 def test_context_dimension_mismatch():

@@ -353,6 +353,20 @@ def test_cli_overflowing_constant_is_not_a_verdict(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_non_finite_function_argument_is_a_domain_error(tmp_path, capsys):
+    # sin of an overflowed product used to escape as a bare ValueError
+    doc = chart_config(metric={"kind": "matrix", "entries": [
+        ["1 + sin(x1*1e200*1e200)/10", "0", "0", "0"],
+        ["0", "1", "0", "0"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"],
+    ]}, grid={"center": [1.0, 0.0, 0.0, 0.0], "half_width": 0.5,
+              "points_per_axis": 2})
+    assert main(["check", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid run: ExprDomainError: non-finite argument to sin")
+
+
 def test_cli_unexpected_exception_exits_two(monkeypatch, capsys):
     def crash(config):
         raise RuntimeError("boom\nsecond line")
