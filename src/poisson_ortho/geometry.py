@@ -40,15 +40,6 @@ class Point:
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def shifted(self, axis: int, delta: float) -> "Point":
-        c = self.coords.copy()
-        c[axis] += delta
-        return Point(c)
-
     def __eq__(self, other):
         return isinstance(other, Point) and np.array_equal(self.coords, other.coords)
 

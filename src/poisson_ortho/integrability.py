@@ -328,9 +328,16 @@ def verdict(ps: PoissonStructure, m: MetricField, grid: Grid,
     chart criterion joins them when the bivector has the exact block form
     at every grid point. Sufficient conditions and the co-vanishing check
     ride along and only influence the consistency flag. ``points`` passes
-    the grid's sampled points when the caller has them.
+    the grid's sampled points when the caller has them, and ``ctx`` a
+    context built from this structure, metric and scheme (ValueError
+    otherwise).
     """
-    ctx = ctx or ChartContext(ps, m, scheme)
+    if ctx is None:
+        ctx = ChartContext(ps, m, scheme)
+    elif ctx.structure is not ps or ctx.metric is not m or ctx.scheme != scheme:
+        raise ValueError(
+            "ctx was built from another structure, metric or scheme than the "
+            "one passed to verdict")
     tol = default_tolerance(ctx.scheme) if tol is None else tol
     points = grid.sample() if points is None else points
     q = points.coords

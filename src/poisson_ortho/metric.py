@@ -9,9 +9,10 @@ Index conventions (0-based axes, einsum letters in comments):
 
 Both Christoffel arrays are symmetric in their last two slots (torsion-free)
 and metric compatibility nabla g = 0 holds by construction. Every function
-takes an (n, dim) coordinate array (see ``geometry``) and returns arrays
-with a leading point axis. The derivative functions take the Christoffel
-symbols of the same points, which callers compute once and share.
+works on a batch of points (see ``geometry``) and returns arrays with a
+leading point axis. The derivative functions take g, its inverse, its
+first partials and the Christoffel symbols of the same points as arrays,
+which callers (``context.ChartContext``) compute once and share.
 """
 
 from __future__ import annotations
@@ -137,11 +138,11 @@ class Christoffel:
     second_kind: np.ndarray  # [k, s, b, c] = Gamma^s_{bc} at point k
 
 
-def christoffel(m: MetricField, p, scheme: DerivativeScheme = DEFAULT_SCHEME) -> Christoffel:
-    dg = jacobian(m.field, p, scheme)  # dg[..., b, d, c] = d_b g_{dc}
+def christoffel(ginv: np.ndarray, dg: np.ndarray) -> Christoffel:
+    """Both kinds from g^{-1} [k, a, d] and dg[k, b, d, c] = d_b g_{dc}."""
     first = 0.5 * (np.einsum("...bac->...abc", dg) + np.einsum("...cab->...abc", dg)
                    - dg)
-    second = np.einsum("...ad,...dbc->...abc", inverse_metric(m, p), first)
+    second = np.einsum("...ad,...dbc->...abc", ginv, first)
     return Christoffel(first_kind=first, second_kind=second)
 
 
@@ -193,22 +194,19 @@ def sharp_field(m: MetricField, omega: TensorField) -> TensorField:
     return TensorField(dim, "u", evaluate_at)
 
 
-def lie_derivative_metric(m: MetricField, x_field: TensorField, p, gamma: Christoffel,
-                          scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """(L_X g)_{sl} = g_{gl} nabla_s X^g + g_{sg} nabla_l X^g at each row of p."""
-    if x_field.variance != "u":
-        raise ValueError("expected a vector field")
-    g = m.components(p)
-    dX = jacobian(x_field, p, scheme)  # [..., s, g] = d_s X^g
+def lie_derivative_metric(g: np.ndarray, x: np.ndarray, dx: np.ndarray,
+                          gamma: Christoffel) -> np.ndarray:
+    """(L_X g)_{sl} = g_{gl} nabla_s X^g + g_{sg} nabla_l X^g at each point,
+    from X^m [k, m] and its partials dx[k, s, g] = d_s X^g."""
     # nabla_s X^g
-    covX = dX + np.einsum("...gsm,...m->...sg", gamma.second_kind, x_field.components(p))
+    covX = dx + np.einsum("...gsm,...m->...sg", gamma.second_kind, x)
     return (np.einsum("...gl,...sg->...sl", g, covX)
             + np.einsum("...sg,...lg->...sl", g, covX))
 
 
-def laplacian(m: MetricField, gradient_sharp: TensorField, p, gamma: Christoffel,
-              scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """Laplace-Beltrami of a scalar c at each row of p, given the raised
-    gradient field grad^sharp c: 1/2 g^{lm} (L_{grad^sharp c} g)_{lm}."""
-    lie = lie_derivative_metric(m, gradient_sharp, p, gamma, scheme)
-    return 0.5 * np.einsum("...lm,...lm->...", inverse_metric(m, p), lie)
+def laplacian(g: np.ndarray, ginv: np.ndarray, x: np.ndarray, dx: np.ndarray,
+              gamma: Christoffel):
+    """Laplace-Beltrami of a scalar c at each point, given its raised
+    gradient X = grad^sharp c and the partials of X: 1/2 g^{lm} (L_X g)_{lm}."""
+    lie = lie_derivative_metric(g, x, dx, gamma)
+    return 0.5 * np.einsum("...lm,...lm->...", ginv, lie)

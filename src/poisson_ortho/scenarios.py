@@ -544,6 +544,26 @@ def run(config: ScenarioConfig) -> RunReport:
 
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, '.17g' floats, minimal whitespace."""
+    # exact builtin types first, floats and float lists (the residual
+    # arrays) foremost; subclasses and numpy scalars take the general path
+    kind = type(value)
+    if kind is float:
+        return format(value, ".17g")
+    if kind is list or kind is tuple:
+        if all(type(v) is float for v in value):
+            return "[" + ",".join([format(v, ".17g") for v in value]) + "]"
+        return "[" + ",".join([canonical_json(v) for v in value]) + "]"
+    if kind is dict:
+        parts = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string report key: {key!r}")
+            parts.append(f"{json.dumps(key)}:{canonical_json(value[key])}")
+        return "{" + ",".join(parts) + "}"
+    if kind is str:
+        return json.dumps(value)
+    if kind is int:
+        return str(value)
     if value is None:
         return "null"
     if value is True:
@@ -557,12 +577,7 @@ def canonical_json(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
+        return "[" + ",".join([canonical_json(v) for v in value]) + "]"
     if isinstance(value, dict):
-        parts = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string report key: {key!r}")
-            parts.append(f"{json.dumps(key)}:{canonical_json(value[key])}")
-        return "{" + ",".join(parts) + "}"
+        return canonical_json(dict(value))
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")

@@ -27,6 +27,7 @@ from poisson_ortho.liepoisson import (builtin_algebra, casimir_lie_bracket,
                                       verify_integral_surface)
 from poisson_ortho.metric import MetricField, inverse_metric
 from poisson_ortho.poisson import PoissonStructure, canonical_bivector
+from random_metrics import random_metric_entries
 
 INV_PI = 1.0 / math.pi
 
@@ -133,28 +134,8 @@ def test_criterion_02_integrable_baselines(builtin_runs):
 # ---------------------------------------------------------------------------
 # criterion 3: the six conditions agree pointwise, builtin and randomized
 
-_METRIC_ATOMS = ("x1", "x2", "x3", "x4", "x1*x2", "x1*x3", "x1*x4", "x2*x3",
-                 "x2*x4", "x3*x4", "x1^2", "x2^2", "x3^2", "x4^2",
-                 "sin(x1)", "sin(x2)", "sin(x3)", "sin(x4)",
-                 "cos(x1)", "cos(x2)", "atan(x3)", "atan(x4)")
-
-
 def _random_metric(rng) -> MetricField:
-    # diagonally dominant on the sample box: every atom is bounded by 1
-    # there, diagonal perturbations stay under 0.25 and each row carries
-    # at most 0.15 of off-diagonal mass, so the matrix stays definite
-    entries = [["0"] * 4 for _ in range(4)]
-    for i in range(4):
-        c = rng.uniform(0.05, 0.25) * rng.choice((-1.0, 1.0))
-        atom = _METRIC_ATOMS[rng.integers(len(_METRIC_ATOMS))]
-        entries[i][i] = f"1 + {c:.3f}*({atom})"
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if rng.random() < 0.5:
-                c = rng.uniform(0.01, 0.05) * rng.choice((-1.0, 1.0))
-                atom = _METRIC_ATOMS[rng.integers(len(_METRIC_ATOMS))]
-                entries[i][j] = entries[j][i] = f"{c:.3f}*({atom})"
-    return MetricField.from_entries(4, entries)
+    return MetricField.from_entries(4, random_metric_entries(rng))
 
 
 @pytest.fixture(scope="module")

@@ -440,3 +440,16 @@ def test_default_tolerance_by_scheme():
     assert default_tolerance(DerivativeScheme()) == DEFAULT_TOL_SYMBOLIC
     assert default_tolerance(DerivativeScheme(kind=CENTRAL_4)) == DEFAULT_TOL_FD
     assert default_tolerance(DerivativeScheme(kind=CENTRAL_2)) == DEFAULT_TOL_FD
+
+
+def test_verdict_rejects_a_context_built_for_another_scheme():
+    ps, m = canonical4(), shear_metric()
+    grid = Grid.cube([0.0] * 4, 0.5, 1)
+    fd = DerivativeScheme(kind=CENTRAL_4)
+    with pytest.raises(ValueError, match="scheme"):
+        verdict(ps, m, grid, ctx=ChartContext(ps, m, fd))
+    with pytest.raises(ValueError, match="structure"):
+        verdict(ps, m, grid, ctx=ChartContext(canonical4(), m))
+    with pytest.raises(ValueError, match="metric"):
+        verdict(ps, m, grid, ctx=ChartContext(ps, shear_metric()))
+    assert verdict(ps, m, grid, fd, ctx=ChartContext(ps, m, fd)).tolerance == DEFAULT_TOL_FD

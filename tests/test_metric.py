@@ -5,7 +5,9 @@ import pytest
 
 from poisson_ortho import dsl
 from poisson_ortho.errors import DegeneracyError
-from poisson_ortho.geometry import DerivativeScheme, Grid, TensorField, matvec
+from poisson_ortho.geometry import (
+    DEFAULT_SCHEME, DerivativeScheme, Grid, TensorField, jacobian, matvec,
+)
 from poisson_ortho.metric import (
     MetricField, christoffel, covariant_derivative_bivector,
     covariant_derivative_oneform, inverse_metric, laplacian,
@@ -25,10 +27,22 @@ def sharp(m, covector, p):
     return matvec(inverse_metric(m, p)[0], np.asarray(covector, dtype=float))
 
 
+def connection(m, p, scheme=DEFAULT_SCHEME):
+    """Christoffel symbols of m at the batch p from g^-1 and the partials of g."""
+    return christoffel(inverse_metric(m, p), jacobian(m.field, p, scheme))
+
+
+def lie_of(m, x_field, p):
+    """(L_X g) at the batch p for a vector field X."""
+    return lie_derivative_metric(m.components(p), x_field.components(p),
+                                 jacobian(x_field, p), connection(m, p))
+
+
 def laplacian_of(m, scalar, p):
     """Laplace-Beltrami of a scalar field at the one point of the batch p."""
     grad_sharp = sharp_field(m, dsl.gradient_field(scalar))
-    return laplacian(m, grad_sharp, p, christoffel(m, p))[0]
+    return laplacian(m.components(p), inverse_metric(m, p), grad_sharp.components(p),
+                     jacobian(grad_sharp, p), connection(m, p))[0]
 
 
 def shear_metric():
@@ -107,14 +121,14 @@ def test_from_contravariant_rejects_wrong_inverse():
 
 def test_christoffel_vanishes_for_constant_metric():
     m = MetricField.constant(np.diag([1.0, 2.0, 3.0]))
-    ch = christoffel(m, pt(0.5, 0.5, 0.5))
+    ch = connection(m, pt(0.5, 0.5, 0.5))
     assert np.allclose(ch.second_kind, 0.0)
     assert np.allclose(ch.first_kind, 0.0)
 
 
 def test_christoffel_polar_values():
     m = polar_metric()
-    ch = christoffel(m, pt(2.0, 0.7))
+    ch = connection(m, pt(2.0, 0.7))
     second, first = ch.second_kind[0], ch.first_kind[0]
     assert second[0, 1, 1] == pytest.approx(-2.0, rel=1e-12)
     assert second[1, 0, 1] == pytest.approx(0.5, rel=1e-12)
@@ -126,7 +140,7 @@ def test_christoffel_polar_values():
 
 def test_christoffel_symmetric_in_last_two_slots():
     m = shear_metric()
-    ch = christoffel(m, pt(0.3, -0.4, 1.0, 0.2))
+    ch = connection(m, pt(0.3, -0.4, 1.0, 0.2))
     assert np.allclose(ch.second_kind, np.swapaxes(ch.second_kind, 2, 3), atol=1e-12)
     assert np.allclose(ch.first_kind, np.swapaxes(ch.first_kind, 2, 3), atol=1e-12)
 
@@ -134,8 +148,8 @@ def test_christoffel_symmetric_in_last_two_slots():
 def test_christoffel_symbolic_vs_stencil():
     m = shear_metric()
     p = pt(0.1, 0.6, -0.3, 0.9)
-    exact = christoffel(m, p)
-    fd = christoffel(m, p, FD4)
+    exact = connection(m, p)
+    fd = connection(m, p, FD4)
     assert np.allclose(exact.second_kind, fd.second_kind, atol=1e-9)
 
 
@@ -144,10 +158,9 @@ def test_metric_compatibility():
     m = shear_metric()
     for coords in ([0.0, 0.5, 0.0, 0.0], [1.0, -0.8, 0.3, 0.2]):
         p = np.array([coords])
-        from poisson_ortho.geometry import jacobian
         dg = jacobian(m.field, p)[0]
         g = m.components(p)[0]
-        g2 = christoffel(m, p).second_kind[0]
+        g2 = connection(m, p).second_kind[0]
         nabla = (dg - np.einsum("gls,gn->lsn", g2, g)
                  - np.einsum("gln,sg->lsn", g2, g))
         assert np.max(np.abs(nabla)) < 1e-12
@@ -160,7 +173,7 @@ def test_covariant_oneform_flat_reduces_to_jacobian():
     m = MetricField.constant(np.eye(2))
     w = dsl.expr_field(2, "l", ["x2", "x1*x2"])
     p = pt(1.0, 2.0)
-    got = covariant_derivative_oneform(w, p, christoffel(m, p))[0]
+    got = covariant_derivative_oneform(w, p, connection(m, p))[0]
     assert np.allclose(got, [[0.0, 2.0], [1.0, 1.0]])
 
 
@@ -168,13 +181,13 @@ def test_covariant_oneform_polar():
     m = polar_metric()
     p = pt(2.0, 0.7)
     dtheta = TensorField.constant(2, "l", [0.0, 1.0])
-    got = covariant_derivative_oneform(dtheta, p, christoffel(m, p))[0]
+    got = covariant_derivative_oneform(dtheta, p, connection(m, p))[0]
     # (nabla dtheta)_{ls} = -Gamma^2_{ls}
     assert got[0, 1] == pytest.approx(-0.5, rel=1e-12)
     assert got[1, 0] == pytest.approx(-0.5, rel=1e-12)
     assert got[0, 0] == pytest.approx(0.0, abs=1e-14)
     dr = TensorField.constant(2, "l", [1.0, 0.0])
-    got_r = covariant_derivative_oneform(dr, p, christoffel(m, p))[0]
+    got_r = covariant_derivative_oneform(dr, p, connection(m, p))[0]
     # (nabla dr)_{22} = -Gamma^1_{22} = x1
     assert got_r[1, 1] == pytest.approx(2.0, rel=1e-12)
 
@@ -189,7 +202,7 @@ def test_covariant_bivector_linear_on_flat_chart():
         ["x2", "-x1", "0"],
     ])
     p = pt(0.4, -1.0, 2.0)
-    got = covariant_derivative_bivector(P, p, christoffel(m, p))[0]
+    got = covariant_derivative_bivector(P, p, connection(m, p))[0]
     eps = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[i, j, k] = 1.0
@@ -208,8 +221,8 @@ def test_covariant_bivector_leibniz_against_connection_terms():
         [0.0, 0.0, -1.0, 0.0],
     ]))
     p = pt(0.2, 0.9, -0.1, 0.5)
-    got = covariant_derivative_bivector(P, p, christoffel(m, p))[0]
-    g2 = christoffel(m, p).second_kind[0]
+    got = covariant_derivative_bivector(P, p, connection(m, p))[0]
+    g2 = connection(m, p).second_kind[0]
     Pm = P.components(p)[0]
     expect = np.einsum("tlm,ms->lts", g2, Pm) + np.einsum("slm,tm->lts", g2, Pm)
     assert np.allclose(got, expect, atol=1e-13)
@@ -271,7 +284,7 @@ def test_rotation_is_killing_for_euclidean_plane():
     m = MetricField.constant(np.eye(2))
     rot = dsl.expr_field(2, "u", ["-x2", "x1"])
     p = pt(0.7, -0.4)
-    lie = lie_derivative_metric(m, rot, p, christoffel(m, p))
+    lie = lie_of(m, rot, p)
     assert np.allclose(lie, 0.0, atol=1e-12)
 
 
@@ -279,7 +292,7 @@ def test_scaling_field_lie_derivative():
     m = MetricField.constant(np.eye(2))
     stretch = dsl.expr_field(2, "u", ["x1", "0"])
     p = pt(0.3, 0.9)
-    lie = lie_derivative_metric(m, stretch, p, christoffel(m, p))[0]
+    lie = lie_of(m, stretch, p)[0]
     assert np.allclose(lie, np.diag([2.0, 0.0]), atol=1e-12)
 
 
@@ -289,7 +302,7 @@ def test_euler_field_is_conformal_not_killing():
     m = MetricField.constant(g0)
     euler = dsl.expr_field(2, "u", ["x1", "x2"])
     p = pt(0.5, -1.2)
-    lie = lie_derivative_metric(m, euler, p, christoffel(m, p))[0]
+    lie = lie_of(m, euler, p)[0]
     assert np.allclose(lie, 2.0 * g0, atol=1e-12)
 
 
@@ -318,4 +331,4 @@ def test_variance_validation():
     m = MetricField.constant(np.eye(2))
     p = pt(0, 0)
     with pytest.raises(ValueError):
-        covariant_derivative_oneform(dsl.expr_field(2, "u", ["1", "0"]), p, christoffel(m, p))
+        covariant_derivative_oneform(dsl.expr_field(2, "u", ["1", "0"]), p, connection(m, p))
