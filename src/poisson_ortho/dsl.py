@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExprDomainError, ExprSyntaxError
-from .geometry import DEFAULT_SCHEME, TensorField, jacobian
+from .geometry import DEFAULT_SCHEME, SYMBOLIC, TensorField, jacobian
 
 FUNCTIONS = ("sin", "cos", "exp", "atan", "sqrt")
 
@@ -666,7 +666,7 @@ def gradient_field(scalar: TensorField, scheme=None) -> TensorField:
     dim = scalar.dim
     used_scheme = scheme or DEFAULT_SCHEME
 
-    if isinstance(scalar, ExprTensorField) and used_scheme.kind == "symbolic-when-available":
+    if isinstance(scalar, ExprTensorField) and used_scheme.kind == SYMBOLIC:
         e = scalar.exprs[()]
         return expr_field(dim, "l", [differentiate(e, a) for a in range(dim)])
 

@@ -89,12 +89,15 @@ def matvec(matrix, vector):
 
 @dataclass(frozen=True)
 class DerivativeScheme:
-    """How partial derivatives are taken.
+    """How the partials of a check's input fields are taken.
 
-    kind 'symbolic-when-available' uses a field's exact derivative when the
-    field can provide one and otherwise falls back to the 4th-order central
-    stencil; the two 'central-*' kinds force finite differences everywhere.
-    The stencil step is ``step * max(1, |x_axis|)`` per point.
+    A check differentiates only its inputs (g, P, the coframe and the
+    Casimir gradients); ``context.ChartContext`` builds every composite
+    derivative from their partials. Kind 'symbolic-when-available' uses an
+    input's exact derivative when the field can provide one and otherwise
+    falls back to the 4th-order central stencil; the two 'central-*' kinds
+    difference every input. The stencil step is ``step * max(1, |x_axis|)``
+    per point.
     """
 
     kind: str = SYMBOLIC
@@ -202,8 +205,10 @@ def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeSchem
 
     Exact when the scheme allows it and the field carries a derivative hook;
     otherwise a central stencil, which shifts the whole batch at once by
-    each point's own step. Stencil evaluations that come back non-finite
-    raise EvaluationError at the offending stencil point.
+    each point's own step. A check stencils only its input fields; the
+    context's composite fields carry hooks that read their jets, and are
+    differentiated under the default scheme. Stencil evaluations that come
+    back non-finite raise EvaluationError at the offending stencil point.
     """
     if not (0 <= axis < field.dim):
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")

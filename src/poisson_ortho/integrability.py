@@ -180,6 +180,7 @@ def sufficient_condition_values(ctx: ChartContext, q) -> dict:
     P = ctx.bivector_at(q)
     coframe = ctx.coframe_at(q)
     frame = ctx.frame_at(q)
+    dP = ctx.bivector_jacobian_at(q)
     g2 = ctx.christoffel_at(q).second_kind
     nabla_P = ctx.nabla_bivector(q)
     d = ctx.codim
@@ -196,8 +197,7 @@ def sufficient_condition_values(ctx: ChartContext, q) -> dict:
     # where each point has its own column basis
     cols = independent_column_mask(P)
     for col in np.flatnonzero(cols.any(axis=0)).tolist():
-        jac_t = ctx.bivector_column_jacobian(col, q)
-        cov_t = jac_t + np.einsum("...slm,...m->...ls", g2, P[..., col])  # [l, s]
+        cov_t = dP[..., col] + np.einsum("...slm,...m->...ls", g2, P[..., col])  # [l, s]
         for i in range(d):
             derivative = _vecmat(frame[..., i], cov_t)
             for j in range(d):

@@ -20,6 +20,7 @@ on the dual act as contravariant metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -29,9 +30,9 @@ import numpy as np
 from . import dsl
 from .context import ChartContext
 from .errors import ConfigError, ConsistencyError, DegeneracyError, RegularityError
-from .geometry import DEFAULT_SCHEME, DerivativeScheme, Grid, Points
+from .geometry import Grid, Points
 from .metric import MetricField
-from .poisson import PoissonStructure, coframe_fields
+from .poisson import PoissonStructure
 from .reports import ConditionReport
 
 BUILTIN_NAMES = ("so3", "sl2r", "so3xso3", "se3")
@@ -86,44 +87,46 @@ class ConstantsValidation:
         }
 
 
-def _exact_table(sc: StructureConstants):
-    # float64 -> Fraction is exact, so integer and dyadic-rational inputs
-    # validate with zero roundoff
-    n = sc.dim
-    return [[[Fraction(sc.table[m, u, s]) for s in range(n)]
-             for u in range(n)] for m in range(n)]
+def _integer_table(sc: StructureConstants):
+    """(C, den): the table times the lcm ``den`` of its entries'
+    denominators, as an object array of Python ints.
+
+    float64 -> Fraction is exact, so integer and dyadic-rational inputs
+    validate with zero roundoff, and Python ints never overflow.
+    """
+    exact = [Fraction(v) for v in sc.table.ravel().tolist()]
+    den = math.lcm(*(f.denominator for f in exact))
+    ints = np.array([f.numerator * (den // f.denominator) for f in exact],
+                    dtype=object)
+    return ints.reshape(sc.table.shape), den
 
 
 def validate_constants(sc: StructureConstants) -> ConstantsValidation:
-    """Check antisymmetry and the Jacobi identity in rational arithmetic.
+    """Check antisymmetry and the Jacobi identity in exact arithmetic.
 
-    Violations are collected with their index triples (antisymmetry) or
-    quadruples (Jacobi); residuals are exact Fractions, so a report with
-    ``ok`` True means identically zero, not merely small.
+    Violations are collected with their index triples (antisymmetry, m <= u)
+    or quadruples (Jacobi) in lexicographic order; residuals are exact
+    Fractions, so a report with ``ok`` True means identically zero, not
+    merely small. The sums run on the table scaled to integers, so the
+    residuals are the integer sums divided by den (antisymmetry) or den^2
+    (Jacobi).
     """
-    n = sc.dim
-    c = _exact_table(sc)
+    c, den = _integer_table(sc)
     out = ConstantsValidation()
-    for m in range(n):
-        for u in range(m, n):
-            for s in range(n):
-                r = c[m][u][s] + c[u][m][s]
-                if r != 0:
-                    out.antisymmetry_violations.append((m, u, s))
-                    out.max_antisymmetry_residual = max(
-                        out.max_antisymmetry_residual, abs(r))
-    for m in range(n):
-        for u in range(n):
-            for s in range(n):
-                for t in range(n):
-                    r = sum(c[m][u][rho] * c[rho][s][t]
-                            + c[u][s][rho] * c[rho][m][t]
-                            + c[s][m][rho] * c[rho][u][t]
-                            for rho in range(n))
-                    if r != 0:
-                        out.jacobi_violations.append((m, u, s, t))
-                        out.max_jacobi_residual = max(
-                            out.max_jacobi_residual, abs(r))
+    antisymmetry = c + c.transpose(1, 0, 2)
+    for m, u, s in np.argwhere(antisymmetry != 0).tolist():
+        if u >= m:
+            out.antisymmetry_violations.append((m, u, s))
+            out.max_antisymmetry_residual = max(
+                out.max_antisymmetry_residual,
+                Fraction(abs(antisymmetry[m, u, s]), den))
+    jacobi = (np.einsum("mur,rst->must", c, c)
+              + np.einsum("usr,rmt->must", c, c)
+              + np.einsum("smr,rut->must", c, c))
+    for m, u, s, t in np.argwhere(jacobi != 0).tolist():
+        out.jacobi_violations.append((m, u, s, t))
+        out.max_jacobi_residual = max(
+            out.max_jacobi_residual, Fraction(abs(jacobi[m, u, s, t]), den ** 2))
     return out
 
 
@@ -362,26 +365,24 @@ def ensure_regular_grid(alg: BuiltinAlgebra, grid: Grid, points=None) -> None:
                 f"{alg.name}", points=[p])
 
 
-def casimir_lie_bracket(sc: StructureConstants, ps: PoissonStructure, p,
-                        scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
+def casimir_lie_bracket(sc: StructureConstants, coframe: np.ndarray) -> np.ndarray:
     """Bracket table of the coframe covectors viewed as algebra elements.
 
     On the dual space a covector is itself an algebra element, so the
-    coframe at each row of p, (n, dim), can be bracketed entrywise under
-    the structure constants: out[k, i, j, :] = [w^i, w^j] at point k.  An
-    all-zero table is the abelian criterion for the span of the Casimir
-    differentials there.
+    coframe rows at each point, (n, d, dim) as ``ChartContext.coframe_at``
+    gives them, can be bracketed entrywise under the structure constants:
+    out[k, i, j, :] = [w^i, w^j] at point k.  An all-zero table is the
+    abelian criterion for the span of the Casimir differentials there.
     """
-    rows = [w.components(p) for w in coframe_fields(ps, scheme)]
-    d = len(rows)
-    out = np.zeros(rows[0].shape[:-1] + (d, d, sc.dim))
+    d = coframe.shape[1]
+    out = np.zeros(coframe.shape[:2] + (d, sc.dim))
     # the bracket is antisymmetric identically, so fill one triangle and
     # mirror; summing the full contraction would leave roundoff on the
     # diagonal where exact zeros are expected
     for i in range(d):
         for j in range(i + 1, d):
             out[..., i, j, :] = np.einsum("...m,...n,mns->...s",
-                                          rows[i], rows[j], sc.table)
+                                          coframe[:, i], coframe[:, j], sc.table)
             out[..., j, i, :] = -out[..., i, j, :]
     return out
 

@@ -10,9 +10,10 @@ Index conventions (0-based axes, einsum letters in comments):
 Both Christoffel arrays are symmetric in their last two slots (torsion-free)
 and metric compatibility nabla g = 0 holds by construction. Every function
 works on a batch of points (see ``geometry``) and returns arrays with a
-leading point axis. The derivative functions take g, its inverse, its
-first partials and the Christoffel symbols of the same points as arrays,
-which callers (``context.ChartContext``) compute once and share.
+leading point axis. The derivative functions take g, its inverse, the
+Christoffel symbols and the differentiated tensor with its first partials
+as arrays of the same points, which callers (``context.ChartContext``)
+compute once and share.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from . import dsl
 from .errors import DegeneracyError
-from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Point, TensorField, jacobian, matvec,
-)
+# jacobian is unused here, but the benchmark's tracer (perfbench/) wraps it
+# in every module that binds it and its tests require this binding
+from .geometry import Point, TensorField, jacobian, matvec  # noqa: F401
 
 INVERSE_CHECK_TOL = 1e-10
 DET_FLOOR_FACTOR = 1e-12
@@ -146,23 +147,18 @@ def christoffel(ginv: np.ndarray, dg: np.ndarray) -> Christoffel:
     return Christoffel(first_kind=first, second_kind=second)
 
 
-def covariant_derivative_oneform(omega: TensorField, p, gamma: Christoffel,
-                                 scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """(nabla_l w)_s as the array [k, l, s]."""
-    if omega.variance != "l":
-        raise ValueError("expected a one-form field")
-    dw = jacobian(omega, p, scheme)  # [..., l, s]
-    return dw - np.einsum("...gls,...g->...ls", gamma.second_kind, omega.components(p))
+def covariant_derivative_oneform(w: np.ndarray, dw: np.ndarray,
+                                 gamma: Christoffel) -> np.ndarray:
+    """(nabla_l w)_s as the array [k, l, s], from w_s [k, s] and its
+    partials dw[k, l, s] = d_l w_s."""
+    return dw - np.einsum("...gls,...g->...ls", gamma.second_kind, w)
 
 
-def covariant_derivative_bivector(biv: TensorField, p, gamma: Christoffel,
-                                  scheme: DerivativeScheme = DEFAULT_SCHEME) -> np.ndarray:
-    """(nabla_l P)^{ts} as the array [k, l, t, s]."""
-    if biv.variance != "uu":
-        raise ValueError("expected a contravariant 2-tensor field")
-    dP = jacobian(biv, p, scheme)  # [..., l, t, s]
+def covariant_derivative_bivector(P: np.ndarray, dP: np.ndarray,
+                                  gamma: Christoffel) -> np.ndarray:
+    """(nabla_l P)^{ts} as the array [k, l, t, s], from P^{ts} [k, t, s] and
+    its partials dP[k, l, t, s] = d_l P^{ts}."""
     g2 = gamma.second_kind
-    P = biv.components(p)
     correction = (np.einsum("...tlm,...ms->...lts", g2, P)
                   + np.einsum("...slm,...tm->...lts", g2, P))
     return dP + correction

@@ -16,9 +16,10 @@ import numpy as np
 from . import dsl
 from .errors import DegeneracyError, RegularityError
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Grid, Point, TensorField, jacobian, matvec,
+    DEFAULT_SCHEME, DerivativeScheme, Grid, Point, TensorField, matvec,
     pointwise_max_abs,
 )
+from .metric import MetricField
 from .reports import ConditionReport, PoissonValidationReport
 
 RANK_SVD_FACTOR = 1e-9
@@ -152,26 +153,33 @@ def bivector_rank(P: np.ndarray):
 def validate_poisson(ps: PoissonStructure, grid: Grid,
                      scheme: DerivativeScheme = DEFAULT_SCHEME,
                      tol: float = ANNIHILATION_TOL,
-                     points=None) -> PoissonValidationReport:
+                     points=None, ctx=None) -> PoissonValidationReport:
     """Antisymmetry, Jacobi, Casimir annihilation, and rank over a grid.
 
-    ``points`` passes the grid's sampled points when the caller has them.
-    Raises RegularityError naming the first sampled point whose bivector
-    rank differs from the declared one; rank jumps across the grid are a
-    special case of that.
+    ``points`` passes the grid's sampled points when the caller has them,
+    and ``ctx`` the check's ``context.ChartContext``, built from this
+    structure and scheme (ValueError otherwise): P, its partials and the
+    Casimir gradients are read from it, so a check differentiates the
+    bivector once. Raises RegularityError naming the first sampled point
+    whose bivector rank differs from the declared one; rank jumps across
+    the grid are a special case of that.
     """
+    if ctx is None:
+        from .context import ChartContext  # the context builds on this module
+        # the validation reads no metric, so a flat one completes the context
+        ctx = ChartContext(ps, MetricField.constant(np.eye(ps.dim)), scheme)
+    elif ctx.structure is not ps or ctx.scheme != scheme:
+        raise ValueError(
+            "ctx was built from another structure or scheme than the one "
+            "passed to validate_poisson")
     points = grid.sample() if points is None else points
     q = points.coords
-    P = ps.bivector.components(q)
-    dP = jacobian(ps.bivector, q, scheme)  # [..., l, t, s]
+    P = ctx.bivector_at(q)
+    dP = ctx.bivector_jacobian_at(q)  # [..., l, t, s]
     contraction = (np.einsum("...lm,...lns->...mns", P, dP)
                    + np.einsum("...ln,...lsm->...mns", P, dP)
                    + np.einsum("...ls,...lmn->...mns", P, dP))
-    annihilation = np.zeros(len(q))
-    for c in ps.casimirs:
-        dc = dsl.gradient_field(c, scheme).components(q)
-        annihilation = np.maximum(
-            annihilation, pointwise_max_abs(matvec(P, dc)))
+    annihilation = pointwise_max_abs(matvec(P[:, None], ctx.gradient_at(q)))
 
     ranks = bivector_rank(P)
     wrong = np.flatnonzero(ranks != ps.expected_rank)

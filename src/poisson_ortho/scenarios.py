@@ -16,8 +16,8 @@ text surface only.
 
 ``run`` samples the grid once and evaluates every check over all of its
 points at once, in one thread: numpy does the per-point arithmetic, and
-the chart context computes each quantity once per grid (or stencil-shifted
-copy of it), so there is no per-point work left to spread over threads.
+the chart context computes each quantity once per grid, so there is no
+per-point work left to spread over threads.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def thread_count() -> int:
     grid. It stays only because the benchmark (``perfbench/run.py``)
     records it as its ``scenarios.threads`` metric, and it is deleted
     together with the benchmark change that retires that metric (ROADMAP.md,
-    item 3).
+    item 11).
     """
     raw = os.environ.get("POISSON_ORTHO_THREADS", "").strip()
     if not raw:
@@ -372,8 +372,7 @@ def _algebra_extras(config: ScenarioConfig, ctx: ChartContext, points) -> dict:
     alg = config.algebra
     killing = killing_form(alg.constants)
 
-    table = casimir_lie_bracket(alg.constants, alg.structure, points.coords,
-                                config.scheme)
+    table = casimir_lie_bracket(alg.constants, ctx.coframe_at(points.coords))
     bracket_max = float(np.max(np.abs(table), initial=0.0))
     grams = [{"point": coords, "matrix": gram}
              for coords, gram in zip(points.coords.tolist(), ctx.gram_at(points.coords).tolist())]
@@ -522,7 +521,7 @@ def run(config: ScenarioConfig) -> RunReport:
     tol = config.tol if config.tol is not None else default_tolerance(config.scheme)
     ctx = ChartContext(config.structure, config.metric, config.scheme)
     validation = validate_poisson(config.structure, config.grid, config.scheme,
-                                  points=points)
+                                  points=points, ctx=ctx)
     result = None
     extras = None
     if validation.ok:

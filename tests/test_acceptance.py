@@ -321,8 +321,9 @@ def test_criterion_09_compact(builtin_runs):
     assert builtin_runs["so3xso3"].extras["casimir_bracket_max_abs"] == 0.0
     alg = builtin_algebra("so3xso3")
     cfg = builtin_runs["so3xso3"].scenario
+    ctx = ChartContext(cfg.structure, cfg.metric, cfg.scheme)
     worst = float(np.max(np.abs(casimir_lie_bracket(
-        alg.constants, cfg.structure, cfg.grid.sample().coords))))
+        alg.constants, ctx.coframe_at(cfg.grid.sample().coords)))))
     assert worst == 0.0
 
     surf = builtin_runs["so3"].extras["integral_surface"]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ortho.context import ChartContext
 from poisson_ortho.dsl import ExprTensorField
@@ -45,8 +47,65 @@ def killing_oracle(sc):
     return out
 
 
+def validation_oracle(sc):
+    """The n^5 loop in Fraction arithmetic that the integer-tensor
+    validation replaced: (antisymmetry violations, Jacobi violations, max
+    antisymmetry residual, max Jacobi residual)."""
+    n = sc.dim
+    c = [[[Fraction(sc.table[m, u, s]) for s in range(n)]
+          for u in range(n)] for m in range(n)]
+    anti, jac = [], []
+    max_anti = max_jac = Fraction(0)
+    for m in range(n):
+        for u in range(m, n):
+            for s in range(n):
+                r = c[m][u][s] + c[u][m][s]
+                if r != 0:
+                    anti.append((m, u, s))
+                    max_anti = max(max_anti, abs(r))
+    for m in range(n):
+        for u in range(n):
+            for s in range(n):
+                for t in range(n):
+                    r = sum(c[m][u][rho] * c[rho][s][t]
+                            + c[u][s][rho] * c[rho][m][t]
+                            + c[s][m][rho] * c[rho][u][t]
+                            for rho in range(n))
+                    if r != 0:
+                        jac.append((m, u, s, t))
+                        max_jac = max(max_jac, abs(r))
+    return anti, jac, max_anti, max_jac
+
+
 # ---------------------------------------------------------------------------
 # constants validation
+
+# integers, dyadic and non-dyadic rationals, and a value whose Fraction has
+# a 2^-1074 denominator, so the lcm scaling meets large and mixed
+# denominators
+ENTRIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 0.5, -0.25, 0.1,
+                           1.0 / 3.0, -3.0, 5e-324])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(ENTRIES, min_size=n ** 3,
+                                             max_size=n ** 3))),
+       st.booleans())
+def test_validate_constants_matches_fraction_loop(shape_and_entries, antisymmetrize):
+    n, entries = shape_and_entries
+    table = np.array(entries).reshape(n, n, n)
+    if antisymmetrize:  # most tables fail antisymmetry; these reach Jacobi alone
+        table = table - table.transpose(1, 0, 2)
+    sc = StructureConstants(n, table)
+    rep = validate_constants(sc)
+    anti, jac, max_anti, max_jac = validation_oracle(sc)
+    assert rep.antisymmetry_violations == anti
+    assert rep.jacobi_violations == jac
+    assert rep.max_antisymmetry_residual == max_anti
+    assert rep.max_jacobi_residual == max_jac
+    assert type(rep.max_jacobi_residual) is Fraction
+
 
 def test_validate_so3_and_se3_exactly_ok():
     for name in ("so3", "se3"):
@@ -244,16 +303,18 @@ def test_se3_metric_ad_invariant():
 
 def test_casimir_bracket_codimension_one_trivial():
     alg = builtin_algebra("so3")
-    table = casimir_lie_bracket(alg.constants, alg.structure, np.array([[0.0, 0.0, 1.0]]))
+    coframe = ChartContext(alg.structure, alg.metric).coframe_at(np.array([[0.0, 0.0, 1.0]]))
+    table = casimir_lie_bracket(alg.constants, coframe)
     assert table.shape == (1, 1, 1, 3)
     assert np.max(np.abs(table)) == 0.0
 
 
 def test_casimir_bracket_so3xso3_abelian():
     alg = builtin_algebra("so3xso3")
+    ctx = ChartContext(alg.structure, alg.metric)
     for coords in ([0.0, 0.0, 1.0, 0.0, 0.0, 1.0],
                    [0.3, -0.2, 0.9, 1.0, 0.4, -0.1]):
-        table = casimir_lie_bracket(alg.constants, alg.structure, np.array([coords]))
+        table = casimir_lie_bracket(alg.constants, ctx.coframe_at(np.array([coords])))
         assert table.shape == (1, 2, 2, 6)
         assert np.max(np.abs(table)) == 0.0
 
@@ -261,11 +322,12 @@ def test_casimir_bracket_so3xso3_abelian():
 def test_casimir_bracket_se3_abelian_in_scenario_gauge():
     # [(p, x), (0, p)] = (p x 0, p x p + x x 0) = 0 at every point
     alg = builtin_algebra("se3")
+    ctx = ChartContext(alg.structure, alg.metric)
     rng = np.random.default_rng(7)
     for _ in range(5):
         coords = rng.uniform(-1.0, 1.0, size=6)
         coords[3:] += 2.0  # keep p away from zero
-        table = casimir_lie_bracket(alg.constants, alg.structure, coords[None, :])
+        table = casimir_lie_bracket(alg.constants, ctx.coframe_at(coords[None, :]))
         assert np.max(np.abs(table)) == 0.0
 
 

@@ -32,6 +32,18 @@ def connection(m, p, scheme=DEFAULT_SCHEME):
     return christoffel(inverse_metric(m, p), jacobian(m.field, p, scheme))
 
 
+def nabla_oneform(m, w, p):
+    """(nabla w) at the batch p for a one-form field w."""
+    return covariant_derivative_oneform(w.components(p), jacobian(w, p),
+                                        connection(m, p))
+
+
+def nabla_bivector(m, P, p):
+    """(nabla P) at the batch p for a bivector field P."""
+    return covariant_derivative_bivector(P.components(p), jacobian(P, p),
+                                         connection(m, p))
+
+
 def lie_of(m, x_field, p):
     """(L_X g) at the batch p for a vector field X."""
     return lie_derivative_metric(m.components(p), x_field.components(p),
@@ -173,7 +185,7 @@ def test_covariant_oneform_flat_reduces_to_jacobian():
     m = MetricField.constant(np.eye(2))
     w = dsl.expr_field(2, "l", ["x2", "x1*x2"])
     p = pt(1.0, 2.0)
-    got = covariant_derivative_oneform(w, p, connection(m, p))[0]
+    got = nabla_oneform(m, w, p)[0]
     assert np.allclose(got, [[0.0, 2.0], [1.0, 1.0]])
 
 
@@ -181,13 +193,13 @@ def test_covariant_oneform_polar():
     m = polar_metric()
     p = pt(2.0, 0.7)
     dtheta = TensorField.constant(2, "l", [0.0, 1.0])
-    got = covariant_derivative_oneform(dtheta, p, connection(m, p))[0]
+    got = nabla_oneform(m, dtheta, p)[0]
     # (nabla dtheta)_{ls} = -Gamma^2_{ls}
     assert got[0, 1] == pytest.approx(-0.5, rel=1e-12)
     assert got[1, 0] == pytest.approx(-0.5, rel=1e-12)
     assert got[0, 0] == pytest.approx(0.0, abs=1e-14)
     dr = TensorField.constant(2, "l", [1.0, 0.0])
-    got_r = covariant_derivative_oneform(dr, p, connection(m, p))[0]
+    got_r = nabla_oneform(m, dr, p)[0]
     # (nabla dr)_{22} = -Gamma^1_{22} = x1
     assert got_r[1, 1] == pytest.approx(2.0, rel=1e-12)
 
@@ -202,7 +214,7 @@ def test_covariant_bivector_linear_on_flat_chart():
         ["x2", "-x1", "0"],
     ])
     p = pt(0.4, -1.0, 2.0)
-    got = covariant_derivative_bivector(P, p, connection(m, p))[0]
+    got = nabla_bivector(m, P, p)[0]
     eps = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[i, j, k] = 1.0
@@ -221,7 +233,7 @@ def test_covariant_bivector_leibniz_against_connection_terms():
         [0.0, 0.0, -1.0, 0.0],
     ]))
     p = pt(0.2, 0.9, -0.1, 0.5)
-    got = covariant_derivative_bivector(P, p, connection(m, p))[0]
+    got = nabla_bivector(m, P, p)[0]
     g2 = connection(m, p).second_kind[0]
     Pm = P.components(p)[0]
     expect = np.einsum("tlm,ms->lts", g2, Pm) + np.einsum("slm,tm->lts", g2, Pm)
@@ -329,6 +341,5 @@ def test_variance_validation():
     with pytest.raises(ValueError):
         MetricField(dsl.expr_field(2, "uu", [["1", "0"], ["0", "1"]]))
     m = MetricField.constant(np.eye(2))
-    p = pt(0, 0)
-    with pytest.raises(ValueError):
-        covariant_derivative_oneform(dsl.expr_field(2, "u", ["1", "0"]), p, connection(m, p))
+    with pytest.raises(ValueError, match="one-form"):
+        sharp_field(m, dsl.expr_field(2, "u", ["1", "0"]))

@@ -10,7 +10,9 @@ import pytest
 from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError, RegularityError
-from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, Grid, TensorField
+from poisson_ortho.geometry import (
+    CENTRAL_4, DerivativeScheme, Grid, TensorField, jacobian,
+)
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import (
     PoissonStructure, bivector_rank, canonical_bivector, coframe_fields,
@@ -375,6 +377,19 @@ def test_validate_poisson_fd_scheme():
     assert report.ok
 
 
+def test_validate_poisson_reads_a_matching_context():
+    ps = so3_structure()
+    grid = Grid(center=[0.0, 0.0, 1.0], half_width=0.25, points_per_axis=2)
+    fd = DerivativeScheme(kind=CENTRAL_4)
+    ctx = ChartContext(ps, MetricField.constant(np.eye(3)), fd)
+    with pytest.raises(ValueError, match="scheme"):
+        validate_poisson(ps, grid, ctx=ctx)
+    with pytest.raises(ValueError, match="structure"):
+        validate_poisson(so3_structure(), grid, fd, ctx=ctx)
+    report = validate_poisson(ps, grid, fd, ctx=ctx)
+    assert report.to_dict() == validate_poisson(ps, grid, fd).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # chart context
 
@@ -410,9 +425,12 @@ def test_context_memoizes_values():
 
 def test_context_frame_keeps_exact_derivatives():
     ctx = ChartContext(canonical4(), MetricField.from_contravariant(np.eye(4)))
-    jac = ctx.frame_jacobian(0, pt(0.0, 0.0, 0.0, 0.0))[0]
+    p = pt(0.0, 0.0, 0.0, 0.0)
+    jac = ctx.frame_jacobian(0, p)[0]
     assert np.array_equal(jac, np.zeros((4, 4)))
-    assert isinstance(ctx.frame[0], dsl.ExprTensorField)
+    # the frame field differentiates through its jet, not a stencil
+    assert ctx.frame[0].has_exact_derivative
+    assert np.array_equal(jacobian(ctx.frame[0], p)[0], np.zeros((4, 4)))
 
 
 def test_context_gram_degeneracy_propagates():

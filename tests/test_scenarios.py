@@ -3,13 +3,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from poisson_ortho import cli
+from poisson_ortho import cli, context, geometry, metric
 from poisson_ortho.cli import main
 from poisson_ortho.errors import ConfigError
+from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, Grid
 from poisson_ortho.scenarios import (
     BUILTIN_SCENARIOS, canonical_json, load_scenario, run, thread_count,
 )
@@ -269,6 +271,50 @@ def test_run_deterministic_in_process():
     a = run(load_scenario("sl2r")).json_text()
     b = run(load_scenario("sl2r")).json_text()
     assert a == b
+
+
+@pytest.mark.parametrize("name, exit_code",
+                         [("model4d-atan", 1), ("so3", 0), ("se3", 0)])
+def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch):
+    # a scheme differentiates only the input fields, on the grid, so the
+    # context sees the grid and, for an algebra, the integral-surface
+    # samples; g^-1 is built once per batch, Christoffel symbols once, and
+    # the bivector is differentiated once
+    config = load_scenario(name)
+    config = replace(config,
+                     grid=Grid(config.grid.center, config.grid.half_width, 2),
+                     scheme=DerivativeScheme(kind=CENTRAL_4, step=config.scheme.step))
+    batches = set()
+    calls = {"inverse_metric": 0, "christoffel": 0, "bivector_partials": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(context, "inverse_metric")
+    counted(metric, "inverse_metric")
+    counted(context, "christoffel")
+    cached, partial = context.ChartContext._cached, geometry.partial_derivative
+
+    def cached_batch(self, tag, q, build):
+        batches.add(q.tobytes())
+        return cached(self, tag, q, build)
+
+    def partial_of(field, *args):
+        calls["bivector_partials"] += field is config.structure.bivector
+        return partial(field, *args)
+    monkeypatch.setattr(context.ChartContext, "_cached", cached_batch)
+    monkeypatch.setattr(geometry, "partial_derivative", partial_of)
+
+    assert run(config).exit_code == exit_code
+    expected = 1 if config.algebra is None else 2
+    assert len(batches) == expected
+    assert calls == {"inverse_metric": expected, "christoffel": 1,
+                     "bivector_partials": config.dim}
 
 
 def test_thread_count_env(monkeypatch):
