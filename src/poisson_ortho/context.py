@@ -10,14 +10,19 @@ batch, keyed by the batch's coordinates, and the metric functions take
 them as arrays.
 
 The derivative scheme decides one thing only: how the partials of the
-input fields are obtained, that is of g, P, each coframe field and each
-Casimir gradient. Under ``symbolic`` an expression or constant input is
+input fields are obtained, that is of g, P, each Casimir gradient and each
+coframe scale. Under ``symbolic`` an expression or constant input is
 differentiated exactly; under the ``central-*`` schemes, or for a plain
-numeric field, the input is differenced by one stencil over the batch (a
-coframe field is then itself a stencil of its Casimir).
+numeric field, the input is differenced by one stencil over the batch,
+which is one evaluation of the input over the stacked shifted copies of
+the batch. A Casimir gradient is then itself a stencil of its Casimir, so
+its partials, the Casimir Hessian, are a stencil of a stencil.
 The context keeps those partials once per batch and builds every other
 derivative from them by the product rule:
 
+* the coframe omega^i = s_i dc^i and its partials
+  d(s_i dc^i) = ds_i (x) dc^i + s_i d(dc^i), from the Casimir gradients and
+  Hessians and the scales s_i (omega^i = dc^i when there are none);
 * the frame xi_i = g^-1 omega^i and the raised Casimir gradients, by
   d(g^-1 w) = g^-1 (dw - (dg) g^-1 w);
 * the projected frames h xi_i and v xi_i, by the product rule on
@@ -49,27 +54,31 @@ from .metric import (
     covariant_derivative_oneform, inverse_metric, laplacian,
     lie_derivative_metric,
 )
-from .poisson import (
-    PoissonStructure, check_gram_nondegenerate, coframe_fields,
-)
+from .poisson import PoissonStructure, _scale_field, check_gram_nondegenerate
 
 
 def _rows(fields, q) -> np.ndarray:
-    """One-form fields evaluated as rows, (..., k, dim)."""
+    """Fields evaluated as rows: (..., k, dim) for one-forms, (..., k) for
+    scalars."""
     return np.stack([w.components(q) for w in fields], axis=1)
 
 
 def _row_partials(fields, q, scheme) -> np.ndarray:
-    """d_l w^i_s of one-form fields as [..., l, i, s]."""
+    """Partials of fields as rows: d_l w^i_s of one-forms as [..., l, i, s],
+    d_l s_i of scalars as [..., l, i]."""
     return np.stack([jacobian(w, q, scheme) for w in fields], axis=2)
 
 
 class ChartContext:
     """Bundles a Poisson structure and metric over one chart.
 
-    ``coframe`` and ``gradients`` are the input one-form fields (the scaled
-    and the raw Casimir gradients; one list when there are no scales) and
-    ``frame`` the raised coframe, whose partials come from the context's
+    ``gradients`` are the input one-form fields, the Casimir gradients dc^i,
+    and ``scales`` the scalar fields s_i of the coframe omega^i = s_i dc^i
+    (None when the structure has no coframe scales, and then
+    omega^i = dc^i). The coframe is no field of its own: its values and
+    partials are built from those of the gradients and scales by the
+    product rule, so each Casimir is differentiated once per batch.
+    ``frame`` is the raised coframe, whose partials come from the context's
     jets. Values should be read through the ``*_at`` accessors, which
     memoize per batch. Each accessor takes an (n, dim) coordinate array and
     gives arrays with a leading point axis.
@@ -87,10 +96,9 @@ class ChartContext:
         self.codim = structure.codim
         self._batches: dict = {}
         self._fields: dict = {}
-        self.coframe = coframe_fields(structure, scheme)
-        self.gradients = (self.coframe if structure.coframe_scales is None
-                          else [dsl.gradient_field(c, scheme)
-                                for c in structure.casimirs])
+        self.gradients = [dsl.gradient_field(c, scheme) for c in structure.casimirs]
+        self.scales = (None if structure.coframe_scales is None
+                       else [_scale_field(s, self.dim) for s in structure.coframe_scales])
         self.frame = [self._batch_field(lambda q, i=i: self.frame_at(q)[..., i],
                                         lambda q, i=i: self._frame_jet(q)[..., i])
                       for i in range(self.codim)]
@@ -138,28 +146,40 @@ class ChartContext:
         return self._cached(
             "dg", p, lambda q: jacobian(self.metric.field, q, self.scheme))
 
-    def coframe_at(self, p) -> np.ndarray:
-        """Coframe rows, shape (..., codim, dim)."""
-        return self._cached("coframe", p, lambda q: _rows(self.coframe, q))
-
-    def coframe_jacobian_at(self, p) -> np.ndarray:
-        """d_l omega^i_s as [..., l, i, s]."""
-        return self._cached(
-            "dcoframe", p, lambda q: _row_partials(self.coframe, q, self.scheme))
-
     def gradient_at(self, p) -> np.ndarray:
         """Casimir gradient rows dc^i, (..., codim, dim): the coframe
         without its scales."""
-        if self.gradients is self.coframe:
-            return self.coframe_at(p)
         return self._cached("gradient", p, lambda q: _rows(self.gradients, q))
 
     def gradient_jacobian_at(self, p) -> np.ndarray:
         """Casimir Hessians d_l (dc^i)_s as [..., l, i, s]."""
-        if self.gradients is self.coframe:
-            return self.coframe_jacobian_at(p)
         return self._cached(
             "dgradient", p, lambda q: _row_partials(self.gradients, q, self.scheme))
+
+    def _scale_at(self, q) -> np.ndarray:
+        """Coframe scales s_i as (..., codim)."""
+        return self._cached("scale", q, lambda q: _rows(self.scales, q))
+
+    def _scale_jacobian_at(self, q) -> np.ndarray:
+        """d_l s_i as [..., l, i]."""
+        return self._cached(
+            "dscale", q, lambda q: _row_partials(self.scales, q, self.scheme))
+
+    def coframe_at(self, p) -> np.ndarray:
+        """Coframe rows omega^i = s_i dc^i, shape (..., codim, dim)."""
+        if self.scales is None:
+            return self.gradient_at(p)
+        return self._cached(
+            "coframe", p, lambda q: self._scale_at(q)[..., None] * self.gradient_at(q))
+
+    def coframe_jacobian_at(self, p) -> np.ndarray:
+        """d_l omega^i_s as [..., l, i, s]: ds_i (x) dc^i + s_i d(dc^i)."""
+        if self.scales is None:
+            return self.gradient_jacobian_at(p)
+        return self._cached(
+            "dcoframe", p,
+            lambda q: (self._scale_jacobian_at(q)[..., None] * self.gradient_at(q)[:, None]
+                       + self._scale_at(q)[:, None, :, None] * self.gradient_jacobian_at(q)))
 
     def christoffel_at(self, p) -> Christoffel:
         return self._cached(

@@ -204,27 +204,30 @@ def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeSchem
     """Componentwise d/dx^axis of the field at each row of p, (n, dim).
 
     Exact when the scheme allows it and the field carries a derivative hook;
-    otherwise a central stencil, which shifts the whole batch at once by
-    each point's own step. A check stencils only its input fields; the
-    context's composite fields carry hooks that read their jets, and are
-    differentiated under the default scheme. Stencil evaluations that come
-    back non-finite raise EvaluationError at the offending stencil point.
+    otherwise a central stencil with each point's own step. One stencil is
+    one evaluation of the field: the shifted copies of the batch are stacked
+    into one (k n, dim) array, -2h, -h, +h, +2h for central-4 and +h, -h for
+    central-2, so a nested stencil hands its inner one a single stacked
+    batch as well. A check stencils only its input fields; the context's
+    composite fields carry hooks that read their jets, and are
+    differentiated under the default scheme. A non-finite stencil value
+    raises EvaluationError at the first offending shifted point in that
+    order.
     """
     if not (0 <= axis < field.dim):
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")
     if scheme.kind == SYMBOLIC and field.has_exact_derivative:
         return field.partial_field(axis).components(p)
     h = scheme.step_for(p[:, axis])
-
-    def at(delta):
-        shifted = p.copy()
-        shifted[:, axis] += delta
-        return field.components(shifted)
-
+    deltas = (+h, -h) if scheme.kind == CENTRAL_2 else (-2.0 * h, -h, +h, +2.0 * h)
+    shifted = np.tile(p, (len(deltas), 1))
+    shifted[:, axis] += np.concatenate(deltas)
+    values = field.components(shifted).reshape((len(deltas), len(p)) + field.shape)
     h_out = h.reshape((-1,) + (1,) * len(field.variance))
     if scheme.kind == CENTRAL_2:
-        return (at(+h) - at(-h)) / (2.0 * h_out)
-    fm2, fm1, fp1, fp2 = at(-2.0 * h), at(-h), at(+h), at(+2.0 * h)
+        fp1, fm1 = values
+        return (fp1 - fm1) / (2.0 * h_out)
+    fm2, fm1, fp1, fp2 = values
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_out)
 
 

@@ -82,7 +82,10 @@ def _scale_field(scale, dim: int) -> TensorField:
 
 def coframe_fields(ps: PoissonStructure,
                    scheme: DerivativeScheme = DEFAULT_SCHEME) -> list:
-    """One-form fields omega^i: the (optionally rescaled) Casimir gradients."""
+    """One-form fields omega^i: the (optionally rescaled) Casimir gradients.
+
+    ``context.ChartContext`` does not use them: it builds the coframe and
+    its partials from the Casimir gradients and the scales."""
     out = []
     for i, c in enumerate(ps.casimirs):
         grad = dsl.gradient_field(c, scheme)

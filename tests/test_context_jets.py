@@ -7,8 +7,12 @@ d(g^-1 w) = g^-1 (dw - (dg) g^-1 w), the projected frames h xi_i and
 v xi_i by the product rule on h = Xi G^-1 Omega, and the bivector columns
 as slices of dP. Each jet must agree with a 4th-order central stencil of
 the same composite's values, under ``symbolic`` (exact input partials) and
-under ``central-4`` (stencilled input partials).
+under ``central-4`` (stencilled input partials). The scaled coframe
+s_i dc^i is built the same way, by the product rule on the scales and the
+Casimir gradients and Hessians.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +20,9 @@ from hypothesis import strategies as st
 
 from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
-from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, TensorField, jacobian
+from poisson_ortho.geometry import (
+    CENTRAL_4, DEFAULT_SCHEME, DerivativeScheme, TensorField, jacobian,
+)
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import PoissonStructure
 from random_metrics import random_atom, random_metric_entries
@@ -25,8 +31,8 @@ FD4 = DerivativeScheme(kind=CENTRAL_4)
 # stencil rounding is about eps / step = 1e-11 relative; a wrong jet term is
 # of the order of the metric's variation, 1e-2 and more
 JET_RTOL = 1e-7
-# under central-4 the coframe's partials are a stencil of the Casimirs'
-# stencilled gradients. That nested stencil rounds at 1.5^2 eps / step^2
+# under central-4 the coframe's partials come from the Casimir Hessians, a
+# stencil of the Casimirs' stencilled gradients. That nested stencil rounds at 1.5^2 eps / step^2
 # = 5e-6 relative (1.5 is the sum of |weights| of each stencil), and the
 # stencil of a composite carries the same noise. Linearity of the stencil
 # makes the two cancel (measured below 1e-10 on 300 seeds), but the bound
@@ -105,3 +111,27 @@ def test_exact_jets_match_central_stencil(seed, coords):
 def test_stencilled_input_jets_match_central_stencil(seed, coords):
     structure, metric, q = _example(seed, coords)
     _assert_jets_match(ChartContext(structure, metric, FD4), q, NESTED_RTOL)
+
+
+PRODUCT_SCALES = ("1 + x3^2/4", "2 - x1*x4/8")
+# the product rule and the expression derivative of s dc may round differently
+PRODUCT_RTOL = 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(*EXAMPLES)
+def test_scaled_coframe_is_the_product_rule_on_its_scales(seed, coords):
+    structure, metric, q = _example(seed, coords)
+    structure = replace(structure, coframe_scales=list(PRODUCT_SCALES))
+    scaled = [dsl.expr_field(4, "l", [dsl.mul(dsl.parse(s), dsl.differentiate(c.exprs[()], a))
+                                      for a in range(4)])
+              for s, c in zip(PRODUCT_SCALES, structure.casimirs)]
+    want = np.stack([w.components(q) for w in scaled], axis=1)
+    want_jacobian = np.stack([jacobian(w, q) for w in scaled], axis=2)
+    for scheme, rtol in ((DEFAULT_SCHEME, PRODUCT_RTOL), (FD4, NESTED_RTOL)):
+        ctx = ChartContext(structure, metric, scheme)
+        for what, got, expected in (
+                ("coframe", ctx.coframe_at(q), want),
+                ("coframe partials", ctx.coframe_jacobian_at(q), want_jacobian)):
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(got - expected)) <= rtol * scale, (what, scheme.kind)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from poisson_ortho import dsl
 from poisson_ortho.errors import EvaluationError
 from poisson_ortho.geometry import (
-    DerivativeScheme, Grid, Point, TensorField,
+    CENTRAL_2, CENTRAL_4, DerivativeScheme, Grid, Point, TensorField,
     jacobian, lie_bracket, partial_derivative,
 )
 
@@ -139,6 +139,92 @@ def test_jacobian_stacks_axis_first():
     jac = jacobian(f, pt(2.0, 3.0))[0]
     # jac[axis, component]
     assert np.allclose(jac, [[3.0, 0.0], [2.0, 6.0]])
+
+
+def per_offset_partial(field, p, axis, scheme):
+    """The central stencil evaluated one shifted batch at a time, in the
+    order its arithmetic reads them: the oracle of the stacked stencil."""
+    h = scheme.step_for(p[:, axis])
+
+    def at(delta):
+        shifted = p.copy()
+        shifted[:, axis] += delta
+        return field.components(shifted)
+
+    h_out = h.reshape((-1,) + (1,) * len(field.variance))
+    if scheme.kind == CENTRAL_2:
+        return (at(+h) - at(-h)) / (2.0 * h_out)
+    fm2, fm1, fp1, fp2 = at(-2.0 * h), at(-h), at(+h), at(+2.0 * h)
+    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_out)
+
+
+STENCIL_ATOMS = ("x1", "x2*x3", "sin(x1)*x2", "atan(x3)", "exp(x2/4)",
+                 "x1^3 - x2*x3", "sqrt(1 + x1^2)", "cos(x1*x3)", "1/(2 + x2^2)")
+
+
+def _numeric_vector(q):
+    x, y, z = q.T
+    return np.stack([np.sin(x * y), np.exp(-z * z) + x, np.arctan(y) * z], axis=1)
+
+
+# each entry builds a 3-d field for a scheme: expression fields, a plain
+# numeric closure, and a gradient closure that nests a stencil of its own
+STENCIL_FIELDS = st.one_of(
+    st.sampled_from(STENCIL_ATOMS).map(
+        lambda src: lambda scheme: dsl.scalar_field(src, 3)),
+    st.lists(st.sampled_from(STENCIL_ATOMS), min_size=3, max_size=3).map(
+        lambda srcs: lambda scheme: vec(3, srcs)),
+    st.just(lambda scheme: TensorField(3, "u", _numeric_vector)),
+    st.sampled_from(STENCIL_ATOMS).map(
+        lambda src: lambda scheme: dsl.gradient_field(
+            TensorField(3, "", dsl.scalar_field(src, 3).components), scheme)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(STENCIL_FIELDS,
+       st.sampled_from((CENTRAL_2, CENTRAL_4)),
+       st.sampled_from((1e-5, 1e-3)),
+       st.integers(0, 2),
+       st.lists(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+                min_size=1, max_size=4))
+def test_stacked_stencil_is_bit_identical_to_per_offset_evaluation(
+        build, kind, step, axis, coords):
+    # coordinates beyond |x| = 1 exercise the scaled step
+    scheme = DerivativeScheme(kind=kind, step=step)
+    field = build(scheme)
+    p = np.array(coords)
+    batches = []
+
+    def evaluate(q):
+        batches.append(len(q))
+        return field.components(q)
+
+    counted = TensorField(3, field.variance, evaluate)
+    got = partial_derivative(counted, p, axis, scheme)
+    assert np.array_equal(got, per_offset_partial(field, p, axis, scheme))
+    assert batches == [(2 if kind == CENTRAL_2 else 4) * len(p)]
+
+
+@pytest.mark.parametrize("kind", [CENTRAL_2, CENTRAL_4])
+def test_stacked_stencil_reports_the_oracles_non_finite_point(kind):
+    # the field is non-finite only at x + h on axis 1 of the second point
+    scheme = DerivativeScheme(kind=kind, step=1e-3)
+    p = np.array([[0.5, -1.0], [3.0, 2.0]])
+    bad = p[1, 1] + scheme.step_for(p[1, 1])
+
+    def evaluate(q):
+        out = np.sin(q[:, 0]) + q[:, 1]
+        out[q[:, 1] == bad] = np.nan
+        return out
+
+    field = TensorField(2, "", evaluate)
+    points = []
+    for differentiate in (partial_derivative, per_offset_partial):
+        with pytest.raises(EvaluationError) as err:
+            differentiate(field, p, 1, scheme)
+        points.append(err.value.point)
+    assert points[0] == points[1] == Point([3.0, bad])
 
 
 # ---------------------------------------------------------------------------

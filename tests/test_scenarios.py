@@ -317,6 +317,36 @@ def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch)
                      "bivector_partials": config.dim}
 
 
+def test_central_check_stencils_each_casimir_gradient_once(monkeypatch):
+    # the scaled coframe and its partials come from the Casimir gradients,
+    # their Hessians and the scales by the product rule, so the only
+    # one-forms differentiated on the grid are the codim Casimir gradient
+    # closures, with dim partials each
+    config = load_scenario("se3")
+    config = replace(config,
+                     grid=Grid(config.grid.center, config.grid.half_width, 2),
+                     scheme=DerivativeScheme(kind=CENTRAL_4, step=config.scheme.step))
+    grid = config.grid.sample().coords
+    partial = geometry.partial_derivative
+    depth = [0]
+    oneforms = {}  # id -> (field, axes); holding the field keeps its id unique
+
+    def outermost(field, p, axis, *args):
+        if depth[0] == 0 and field.variance == "l" and np.array_equal(p, grid):
+            oneforms.setdefault(id(field), (field, []))[1].append(axis)
+        depth[0] += 1
+        try:
+            return partial(field, p, axis, *args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(geometry, "partial_derivative", outermost)
+
+    assert run(config).exit_code == 0
+    assert config.structure.coframe_scales is not None
+    assert len(oneforms) == config.structure.codim
+    assert all(axes == list(range(config.dim)) for _, axes in oneforms.values())
+
+
 def test_thread_count_env(monkeypatch):
     monkeypatch.delenv("POISSON_ORTHO_THREADS", raising=False)
     assert thread_count() >= 1
