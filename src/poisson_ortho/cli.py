@@ -12,6 +12,7 @@ unexpected exception included), 3 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -88,8 +89,8 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
             raise ConfigError(f"scheme override: {exc}") from None
     tol = config.tol
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ConfigError("--tol must be a positive finite number")
         tol = args.tol
     return replace(config, grid=grid, scheme=scheme, tol=tol)
 

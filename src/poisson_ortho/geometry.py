@@ -14,6 +14,7 @@ single point is a batch of one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,6 +272,8 @@ class Grid:
         ppa = tuple(int(m) for m in _broadcast(self.points_per_axis, dim, "points_per_axis"))
         if dim == 0:
             raise ValueError("grid center must be non-empty")
+        if not all(map(math.isfinite, center + tuple(hw))):
+            raise ValueError("grid center and half_width must be finite")
         if any(w < 0 for w in hw):
             raise ValueError("half_width must be non-negative")
         if any(m < 1 for m in ppa):

@@ -2,26 +2,33 @@
 
 Everything here asks one question about a regular Poisson bivector P and a
 metric g: is the g-orthogonal complement of the symplectic leaves closed
-under Lie brackets?  ``verdict`` answers it several independent ways:
+under Lie brackets?  ``verdict`` answers it several independent ways.
+``CONDITIONS`` names each once, as a row (id, role, formula) in report
+order, and the role alone decides how a row is classified:
 
-* four first-order conditions contracting covariant derivatives of the
-  coframe, the frame, or the bivector against P;
-* the Frobenius curvature v([h., h.]) of the projector pair;
-* the Nijenhuis torsion of the leaf projector restricted to the frame;
-* a Christoffel-form Frobenius test available only in charts where P is
-  the exact canonical constant block matrix.
+* ``equivalence``: six conditions that each decide the question. Four
+  contract covariant derivatives of the coframe, the frame, or the
+  bivector against P; then the Frobenius curvature v([h., h.]) of the
+  projector pair and the Nijenhuis torsion of the leaf projector on the
+  frame. They are binding.
+* ``chart``: a Christoffel-form Frobenius test, binding where P is the
+  exact canonical constant block matrix at every point, skipped elsewhere.
+* ``cross-check``: the bivector route P g [xi, xi] and the torsion route
+  must vanish together. Both are read from the six values already
+  computed, not evaluated again.
+* ``sufficient``: parallel bivector, leaf parallel transport, parallel
+  coframe. They never flip the verdict; when they or their premise fail
+  they are merely inconclusive.
 
-All of these must agree; disagreement marks the run invalid (it can only
-come from numerics, not from the geometry).  The co-vanishing check of
-the bivector route P g [xi, xi] against the torsion route is derived from
-the six values already computed at each point, not evaluated again.
-Sufficient-only conditions (parallel bivector, leaf parallel transport,
-parallel coframe) are reported as well but never flip the verdict: when
-they fail they are merely inconclusive.
+The binding conditions must agree at every point, the two routes must
+vanish together, and no sufficient condition may hold on a non-integrable
+run; any disagreement marks the run invalid (it can only come from
+numerics, not from the geometry).
 
 Every condition is evaluated once over the whole grid: the value
 functions take an (n, dim) coordinate array and give one residual per
-point.
+point. They stay module functions that ``verdict`` calls by name, not
+entries of the table.
 """
 
 from __future__ import annotations
@@ -46,46 +53,34 @@ from .reports import ConditionReport
 DEFAULT_TOL_SYMBOLIC = 1e-6
 DEFAULT_TOL_FD = 1e-4
 
-# the six equivalent characterizations checked at every grid point
-EQUIVALENCE_IDS = (
-    "coframe-derivative",
-    "bivector-derivative",
-    "frame-derivative",
-    "coframe-bracket-closure",
-    "frobenius-curvature",
-    "nijenhuis-torsion",
+# every condition once, in report order: (id, role, formula)
+CONDITIONS = (
+    ("coframe-derivative", "equivalence",
+     "P^{ts} (nabla_{xi_i} omega^j - nabla_{xi_j} omega^i)_s"),
+    ("bivector-derivative", "equivalence",
+     "g^{la} (nabla_l P)^{ts} (omega^i ^ omega^j)_{sa}"),
+    ("frame-derivative", "equivalence",
+     "P^{ts} g_{sl} (nabla_{xi_i} xi_j - nabla_{xi_j} xi_i)^l"),
+    ("coframe-bracket-closure", "equivalence",
+     "P^{ts} (flat [xi_i, xi_j])_s"),
+    ("frobenius-curvature", "equivalence",
+     "v([h xi_i, h xi_j])"),
+    ("nijenhuis-torsion", "equivalence",
+     "[v xi_i, v xi_j] - v[v xi_i, xi_j] - v[xi_i, v xi_j] + v v [xi_i, xi_j]"),
+    ("christoffel-symmetry", "chart",
+     "xi_I^a xi_J^b (Gamma_{bat} - Gamma_{abt}), frame pairs I < J, leaf t"),
+    ("kernel-image-covanishing", "cross-check",
+     "|P g [xi_i, xi_j]| <= tol  iff  |N_v(xi_i, xi_j)| <= tol"),
+    ("parallel-bivector-on-kernel", "sufficient",
+     "(nabla_{xi_i} P)^{ts} omega^j_s"),
+    ("leaf-parallel-transport", "sufficient",
+     "omega^j(nabla_{xi_i} t_a) over a leaf basis t_a of bivector columns"),
+    ("parallel-coframe", "sufficient",
+     "nabla omega^i = 0, then |L_{xi_i} g| and |Laplacian c^i|"),
 )
 
-FORMULAS = {
-    "coframe-derivative":
-        "P^{ts} (nabla_{xi_i} omega^j - nabla_{xi_j} omega^i)_s",
-    "bivector-derivative":
-        "g^{la} (nabla_l P)^{ts} (omega^i ^ omega^j)_{sa}",
-    "frame-derivative":
-        "P^{ts} g_{sl} (nabla_{xi_i} xi_j - nabla_{xi_j} xi_i)^l",
-    "coframe-bracket-closure":
-        "P^{ts} (flat [xi_i, xi_j])_s",
-    "frobenius-curvature":
-        "v([h xi_i, h xi_j])",
-    "nijenhuis-torsion":
-        "[v xi_i, v xi_j] - v[v xi_i, xi_j] - v[xi_i, v xi_j] + v v [xi_i, xi_j]",
-    "kernel-image-covanishing":
-        "|P g [xi_i, xi_j]| <= tol  iff  |N_v(xi_i, xi_j)| <= tol",
-    "christoffel-symmetry":
-        "xi_I^a xi_J^b (Gamma_{bat} - Gamma_{abt}), frame pairs I < J, leaf t",
-    "parallel-bivector-on-kernel":
-        "(nabla_{xi_i} P)^{ts} omega^j_s",
-    "leaf-parallel-transport":
-        "omega^j(nabla_{xi_i} t_a) over a leaf basis t_a of bivector columns",
-    "parallel-coframe":
-        "nabla omega^i = 0, then |L_{xi_i} g| and |Laplacian c^i|",
-}
-
-SUFFICIENT_IDS = (
-    "parallel-bivector-on-kernel",
-    "leaf-parallel-transport",
-    "parallel-coframe",
-)
+EQUIVALENCE_IDS = tuple(cid for cid, role, _ in CONDITIONS if role == "equivalence")
+SUFFICIENT_IDS = tuple(cid for cid, role, _ in CONDITIONS if role == "sufficient")
 
 
 def default_tolerance(scheme: DerivativeScheme) -> float:
@@ -324,13 +319,11 @@ def verdict(ps: PoissonStructure, m: MetricField, grid: Grid,
             points=None) -> Verdict:
     """Run every condition over the grid and aggregate.
 
-    The six equivalent conditions decide ``integrable``; the canonical
-    chart criterion joins them when the bivector has the exact block form
-    at every grid point. Sufficient conditions and the co-vanishing check
-    ride along and only influence the consistency flag. ``points`` passes
-    the grid's sampled points when the caller has them, and ``ctx`` a
-    context built from this structure, metric and scheme (ValueError
-    otherwise).
+    Every row of ``CONDITIONS`` becomes one report, classified by its
+    role: the binding rows decide ``integrable``, the others only the
+    consistency flag. ``points`` passes the grid's sampled points when the
+    caller has them, and ``ctx`` a context built from this structure,
+    metric and scheme (ValueError otherwise).
     """
     if ctx is None:
         ctx = ChartContext(ps, m, scheme)
@@ -350,68 +343,61 @@ def verdict(ps: PoissonStructure, m: MetricField, grid: Grid,
     vals = equivalence_condition_values(ctx, q)
     suff = sufficient_condition_values(ctx, q)
     ra, rn = covanishing_values(vals)
-
-    def report(cid, residuals, threshold=tol, binding=True):
-        return ConditionReport(cid, FORMULAS[cid], threshold, binding,
-                               points=points, residuals=residuals.tolist())
-
-    equivalence = [report(cid, vals[cid]) for cid in EQUIVALENCE_IDS]
-    sufficient = {cid: report(cid, suff[cid], binding=False)
-                  for cid in SUFFICIENT_IDS}
     agree = (ra <= tol) == (rn <= tol)
-    covanish = report("kernel-image-covanishing", np.where(agree, 0.0, 1.0), 0.5,
-                      binding=False)
-    covanish.extras.update(bivector_route_norms=ra.tolist(),
-                           torsion_route_norms=rn.tolist(), vanishing_tolerance=tol)
+    residuals = {**vals, **suff, "kernel-image-covanishing": np.where(agree, 0.0, 1.0)}
     if chart_ok:
-        chart = report("christoffel-symmetry", canonical_chart_symmetry(ctx, q))
-    else:
-        chart = ConditionReport("christoffel-symmetry", FORMULAS["christoffel-symmetry"],
-                                tol, binding=False, status="skipped")
+        residuals["christoffel-symmetry"] = canonical_chart_symmetry(ctx, q)
+    extras = {
+        "kernel-image-covanishing": dict(
+            bivector_route_norms=ra.tolist(), torsion_route_norms=rn.tolist(),
+            vanishing_tolerance=tol),
+        "parallel-coframe": {"premise_max_residual": float(
+            np.max(suff["parallel-coframe-premise"], initial=0.0))},
+    }
 
-    disagreements = []
-    holds = np.column_stack([vals[cid] <= tol for cid in EQUIVALENCE_IDS])
-    for k, coords in enumerate(q.tolist()):
-        if holds[k].any() and not holds[k].all():
-            disagreements.append({
-                "kind": "equivalence",
-                "point": coords,
-                "residuals": {cid: float(vals[cid][k]) for cid in EQUIVALENCE_IDS},
-            })
-        if not agree[k]:
-            disagreements.append({
-                "kind": "covanishing",
-                "point": coords,
-                "residuals": {"bivector_route": float(ra[k]),
-                              "torsion_route": float(rn[k])},
-            })
-        if chart_ok and chart.holds_at(k) != holds[k].all():
-            disagreements.append({
-                "kind": "canonical-chart",
-                "point": coords,
-                "residuals": {"christoffel-symmetry": chart.residuals[k]},
-            })
-
-    premise_max = float(np.max(suff["parallel-coframe-premise"], initial=0.0))
-    sufficient["parallel-coframe"].extras["premise_max_residual"] = premise_max
-    if premise_max > tol:
-        sufficient["parallel-coframe"].status = "inconclusive"
-    for rep in sufficient.values():
-        if rep.status is None and not rep.holds:
+    conditions = []
+    for cid, role, formula in CONDITIONS:
+        if role == "chart" and not chart_ok:
+            conditions.append(ConditionReport(cid, formula, tol, binding=False,
+                                              status="skipped"))
+            continue
+        rep = ConditionReport(
+            cid, formula, 0.5 if role == "cross-check" else tol,
+            binding=role in ("equivalence", "chart"), points=points,
+            residuals=residuals[cid].tolist(), extras=extras.get(cid, {}))
+        # a sufficient condition proves nothing when it or its premise fails
+        if role == "sufficient" and (
+                not rep.holds or rep.extras.get("premise_max_residual", 0.0) > tol):
             rep.status = "inconclusive"
+        conditions.append(rep)
+    integrable = all(rep.holds for rep in conditions if rep.binding)
 
-    binding = equivalence + ([chart] if chart_ok else [])
-    integrable = all(rep.holds for rep in binding)
+    # pointwise disagreements: one mask per kind, entries for flagged points
+    # only, points ascending and the kinds in this order within a point
+    six = np.column_stack([vals[cid] <= tol for cid in EQUIVALENCE_IDS])
+    all_six = six.all(axis=1)
+    kinds = [("equivalence", six.any(axis=1) & ~all_six,
+              {cid: vals[cid] for cid in EQUIVALENCE_IDS}),
+             ("covanishing", ~agree, {"bivector_route": ra, "torsion_route": rn})]
+    if chart_ok:
+        chart = residuals["christoffel-symmetry"]
+        kinds.append(("canonical-chart", (chart <= tol) != all_six,
+                      {"christoffel-symmetry": chart}))
+    flagged = np.column_stack([mask for _, mask, _ in kinds])
+    disagreements = []
+    for k, c in zip(*np.nonzero(flagged)):  # row-major: by point, then kind
+        kind, _, named = kinds[c]
+        disagreements.append({
+            "kind": kind,
+            "point": q[k].tolist(),
+            "residuals": {name: float(r[k]) for name, r in named.items()},
+        })
+    disagreements += [
+        {"kind": "sufficient-vs-verdict", "condition": rep.condition,
+         "max_residual": rep.max_residual}
+        for rep in conditions
+        if not integrable and rep.condition in SUFFICIENT_IDS and rep.label == "holds"]
 
-    for cid, rep in sufficient.items():
-        if rep.label == "holds" and not integrable:
-            disagreements.append({
-                "kind": "sufficient-vs-verdict",
-                "condition": cid,
-                "max_residual": rep.max_residual,
-            })
-
-    conditions = equivalence + [chart, covanish] + list(sufficient.values())
     return Verdict(
         integrable=integrable,
         consistent=not disagreements,

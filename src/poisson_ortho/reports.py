@@ -40,9 +40,6 @@ class ConditionReport:
             return None
         return self.points[int(np.argmax(self.residuals))]
 
-    def holds_at(self, index: int) -> bool:
-        return self.residuals[index] <= self.threshold
-
     def pointwise(self) -> list:
         return [r <= self.threshold for r in self.residuals]
 

@@ -306,8 +306,8 @@ def _load_config_file(path: str) -> ScenarioConfig:
     scheme = _parse_scheme(raw.get("scheme", {}))
     tol = raw.get("tol_zero")
     if tol is not None:
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            raise ConfigError("tol_zero: must be a positive number")
+        if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+            raise ConfigError("tol_zero: must be a positive finite number")
         tol = float(tol)
     return ScenarioConfig(name=name, structure=structure, metric=metric,
                           grid=grid, scheme=scheme, tol=tol, algebra=algebra,

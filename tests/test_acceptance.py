@@ -70,8 +70,7 @@ def _pointwise_six_flags(v) -> list:
     n = len(reps[0].points)
     assert all(len(r.residuals) == n for r in reps)
     out = []
-    for idx in range(n):
-        flags = [r.holds_at(idx) for r in reps]
+    for idx, flags in enumerate(zip(*(r.pointwise() for r in reps))):
         assert len(set(flags)) == 1, (idx, flags)
         out.append(flags[0])
     return out

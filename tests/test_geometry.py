@@ -314,6 +314,15 @@ def test_grid_broadcasting_and_validation():
         Grid(center=(0.0,), half_width=1.0, points_per_axis=0)
 
 
+@pytest.mark.parametrize("center, half_width", [
+    ((math.nan, 0.0), 1.0), ((0.0, math.inf), 1.0), ((0.0, -math.inf), 1.0),
+    ((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf), ((0.0, 0.0), (1.0, math.nan)),
+])
+def test_grid_rejects_non_finite_center_and_half_width(center, half_width):
+    with pytest.raises(ValueError, match="finite"):
+        Grid(center=center, half_width=half_width, points_per_axis=2)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(1, 3),

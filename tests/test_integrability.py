@@ -268,6 +268,47 @@ def test_sufficient_condition_holding_on_non_integrable_run_is_a_disagreement(mo
     assert report.exit_code == 2
 
 
+def test_disagreement_list_order_kinds_points_and_residuals(monkeypatch):
+    # euclid4 is flat, so every residual is an exact zero until one is raised
+    evaluate = integrability.equivalence_condition_values
+    grid = Grid.cube([0.0] * 4, 1.0, 2)
+    closure_point, frame_point = 3, 10
+
+    def raised(ctx, q):
+        vals = evaluate(ctx, q)
+        vals["coframe-bracket-closure"][closure_point] = 0.5
+        vals["frame-derivative"][frame_point] = 0.25
+        return vals
+
+    monkeypatch.setattr(integrability, "equivalence_condition_values", raised)
+    v = verdict(canonical4(), euclid_metric(), grid)
+    zeros = dict.fromkeys(EQUIVALENCE_IDS, 0.0)
+    closure_coords = [-1.0, -1.0, 1.0, 1.0]
+    frame_coords = [1.0, -1.0, 1.0, -1.0]
+    assert grid.sample().coords[[closure_point, frame_point]].tolist() == [
+        closure_coords, frame_coords]
+    assert v.disagreements == [
+        {"kind": "equivalence", "point": closure_coords,
+         "residuals": {**zeros, "coframe-bracket-closure": 0.5}},
+        {"kind": "covanishing", "point": closure_coords,
+         "residuals": {"bivector_route": 0.5, "torsion_route": 0.0}},
+        {"kind": "canonical-chart", "point": closure_coords,
+         "residuals": {"christoffel-symmetry": 0.0}},
+        {"kind": "equivalence", "point": frame_coords,
+         "residuals": {**zeros, "frame-derivative": 0.25}},
+        {"kind": "canonical-chart", "point": frame_coords,
+         "residuals": {"christoffel-symmetry": 0.0}},
+    ] + [{"kind": "sufficient-vs-verdict", "condition": cid, "max_residual": 0.0}
+         for cid in SUFFICIENT_IDS]
+    # pointwise entries keep their key order, and the six residuals table order
+    assert [list(d) for d in v.disagreements[:5]] == [["kind", "point", "residuals"]] * 5
+    assert list(v.disagreements[0]["residuals"]) == list(EQUIVALENCE_IDS)
+    assert all(type(c) is float for d in v.disagreements[:5] for c in d["point"])
+    assert all(type(r) is float for d in v.disagreements[:5]
+               for r in d["residuals"].values())
+    assert not v.integrable and not v.consistent
+
+
 # ---------------------------------------------------------------------------
 # co-vanishing of the two leaf-component routes
 

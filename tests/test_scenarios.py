@@ -132,6 +132,22 @@ def test_config_field_validation(tmp_path):
         load_scenario(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol_zero", float("nan")), ("tol_zero", float("inf")),
+    ("half_width", float("nan")), ("half_width", float("inf")),
+    ("center", [float("nan"), 0.0, 0.0, 0.0]),
+])
+def test_config_rejects_non_finite_numbers(tmp_path, field, value):
+    # json.load reads NaN and Infinity, so a config file can carry them
+    doc = chart_config()
+    if field == "tol_zero":
+        doc[field] = value
+    else:
+        doc["grid"][field] = value
+    with pytest.raises(ConfigError, match="finite"):
+        load_scenario(write_config(tmp_path, doc))
+
+
 def test_config_algebra_kind(tmp_path):
     doc = {
         "name": "se3-from-file",
@@ -400,6 +416,18 @@ def test_cli_usage_errors(capsys):
     assert main(["check", "euclid4", "--no-such-flag"]) == 3
     assert main([]) == 3
     capsys.readouterr()  # swallow argparse noise
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "inf"], ["--grid-center", "nan,0,0,0"],
+    ["--grid-half-width", "nan"], ["--grid-half-width", "inf"],
+])
+def test_cli_non_finite_tolerance_or_grid_is_a_usage_error(capsys, flags):
+    # a NaN tolerance makes every comparison false and an infinite one makes
+    # every comparison true, so either would otherwise read as a verdict
+    for name in ("euclid4", "model4d-atan"):
+        assert main(["check", name, *flags]) == 3
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):
