@@ -28,7 +28,11 @@ derivative from them by the product rule:
 * the projected frames h xi_i and v xi_i, by the product rule on
   h = Xi G^-1 Omega with G = Omega Xi the frame gram matrix;
 * the bivector columns, as slices of dP;
-* nabla omega, nabla P, the Laplacian and the frame brackets, from these.
+* nabla omega, nabla P and the Laplacian, from these;
+* the frame brackets [A xi_i, B xi_j] with A, B in {1, h, v}, from the
+  values and jets of their two arguments by ``geometry.lie_bracket``.
+
+Every composite derivative is thus an array cached once per batch.
 
 The jets read only g, g^-1, dg, the coframe, the frame and their
 partials, never the Christoffel symbols or nabla omega, so the
@@ -46,9 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsl
-from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, TensorField, jacobian, lie_bracket, matvec,
-)
+from .geometry import DEFAULT_SCHEME, DerivativeScheme, jacobian, lie_bracket, matvec
 from .metric import (
     Christoffel, MetricField, christoffel, covariant_derivative_bivector,
     covariant_derivative_oneform, inverse_metric, laplacian,
@@ -78,8 +80,7 @@ class ChartContext:
     omega^i = dc^i). The coframe is no field of its own: its values and
     partials are built from those of the gradients and scales by the
     product rule, so each Casimir is differentiated once per batch.
-    ``frame`` is the raised coframe, whose partials come from the context's
-    jets. Values should be read through the ``*_at`` accessors, which
+    Values should be read through the ``*_at`` accessors, which
     memoize per batch. Each accessor takes an (n, dim) coordinate array and
     gives arrays with a leading point axis.
     """
@@ -95,13 +96,9 @@ class ChartContext:
         self.dim = structure.dim
         self.codim = structure.codim
         self._batches: dict = {}
-        self._fields: dict = {}
         self.gradients = [dsl.gradient_field(c, scheme) for c in structure.casimirs]
         self.scales = (None if structure.coframe_scales is None
                        else [_scale_field(s, self.dim) for s in structure.coframe_scales])
-        self.frame = [self._batch_field(lambda q, i=i: self.frame_at(q)[..., i],
-                                        lambda q, i=i: self._frame_jet(q)[..., i])
-                      for i in range(self.codim)]
 
     def _cached(self, tag, q, build):
         values = self._batches.setdefault(q.tobytes(), {})
@@ -109,21 +106,6 @@ class ChartContext:
         if value is None:
             value = values[tag] = build(q)
         return value
-
-    def _field(self, key, build):
-        f = self._fields.get(key)
-        if f is None:
-            f = build()
-            self._fields[key] = f
-        return f
-
-    def _batch_field(self, value, jet) -> TensorField:
-        """A vector field with values ``value(q)`` whose partials [..., l, m]
-        are ``jet(q)``, read from the batch cache through the field's
-        derivative hook."""
-        def partial(axis):
-            return TensorField(self.dim, "u", lambda q: jet(q)[:, axis])
-        return TensorField(self.dim, "u", value, partial=partial)
 
     # -- inputs and their partials: the only derivatives a scheme takes --
 
@@ -276,29 +258,24 @@ class ChartContext:
             return dh_frame if which == "h" else dframe - dh_frame
         return self._cached(("projected_frame_jet", which), q, build)
 
-    # -- derived fields for bracket arguments ---------------------------
+    # -- frame brackets -------------------------------------------------
 
-    def projected_frame_field(self, i: int, which: str) -> TensorField:
-        """h xi_i or v xi_i by ``which``."""
-        def build():
-            matrix_at = {"h": self.projector_h, "v": self.projector_v}[which]
-            return self._batch_field(
-                lambda q: matvec(matrix_at(q), self.frame_at(q)[..., i]),
-                lambda q: self._projected_frame_jet(which, q)[..., i])
-        return self._field(("projected_frame", i, which), build)
-
-    def _frame_variant(self, i: int, mode: str) -> TensorField:
+    def _frame_variant(self, i: int, mode: str, q):
+        """(A xi_i, d(A xi_i)) for A = identity, h or v by mode: the values
+        (..., m) and the jet [..., l, m] a bracket consumes."""
         if mode == "plain":
-            return self.frame[i]
-        return self.projected_frame_field(i, mode)
+            return self.frame_at(q)[..., i], self._frame_jet(q)[..., i]
+        matrix_at = {"h": self.projector_h, "v": self.projector_v}[mode]
+        return (matvec(matrix_at(q), self.frame_at(q)[..., i]),
+                self._projected_frame_jet(mode, q)[..., i])
 
     def frame_bracket(self, i: int, j: int, mode_i: str, mode_j: str, p) -> np.ndarray:
         """[A xi_i, B xi_j] at each row of p with A, B in {identity, h, v} by
-        mode; every argument carries its jet, so no scheme is passed."""
+        mode, from the values and jets of both arguments."""
         return self._cached(
             ("bracket", i, j, mode_i, mode_j), p,
-            lambda q: lie_bracket(self._frame_variant(i, mode_i),
-                                  self._frame_variant(j, mode_j), q))
+            lambda q: lie_bracket(*self._frame_variant(i, mode_i, q),
+                                  *self._frame_variant(j, mode_j, q)))
 
     # -- second-order scalars on casimirs and frame ---------------------
 

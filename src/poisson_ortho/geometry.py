@@ -209,11 +209,10 @@ def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeSchem
     one evaluation of the field: the shifted copies of the batch are stacked
     into one (k n, dim) array, -2h, -h, +h, +2h for central-4 and +h, -h for
     central-2, so a nested stencil hands its inner one a single stacked
-    batch as well. A check stencils only its input fields; the context's
-    composite fields carry hooks that read their jets, and are
-    differentiated under the default scheme. A non-finite stencil value
-    raises EvaluationError at the first offending shifted point in that
-    order.
+    batch as well. A check stencils only its input fields; the context
+    builds every composite derivative from their partials as arrays. A
+    non-finite stencil value raises EvaluationError at the first offending
+    shifted point in that order.
     """
     if not (0 <= axis < field.dim):
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")
@@ -238,18 +237,15 @@ def jacobian(field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
                      for a in range(field.dim)], axis=1)
 
 
-def lie_bracket(x_field: TensorField, y_field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """[X, Y]^mu = X^lam d_lam Y^mu - Y^lam d_lam X^mu at each row of p."""
-    if x_field.variance != "u" or y_field.variance != "u":
-        raise ValueError("lie_bracket expects two vector fields")
-    if x_field.dim != y_field.dim:
-        raise ValueError("vector fields live on charts of different dimension")
-    xv = x_field.components(p)
-    yv = y_field.components(p)
-    dy = jacobian(y_field, p, scheme)
-    dx = jacobian(x_field, p, scheme)
-    return (np.einsum("...l,...lm->...m", xv, dy)
-            - np.einsum("...l,...lm->...m", yv, dx))
+def lie_bracket(x, dx, y, dy):
+    """[X, Y]^mu = X^lam d_lam Y^mu - Y^lam d_lam X^mu, pointwise.
+
+    Takes the values x, y (..., mu) of two vector fields and their partials
+    dx, dy as [..., lam, mu]; the caller owns how those partials were
+    obtained (``jacobian`` of a field, or a context's jets).
+    """
+    return (np.einsum("...l,...lm->...m", x, dy)
+            - np.einsum("...l,...lm->...m", y, dx))
 
 
 @dataclass(frozen=True)
@@ -274,6 +270,9 @@ class Grid:
             raise ValueError("grid center must be non-empty")
         if not all(map(math.isfinite, center + tuple(hw))):
             raise ValueError("grid center and half_width must be finite")
+        # the width linspace computes; when it is finite, so are both ends
+        if not all(math.isfinite((c + w) - (c - w)) for c, w in zip(center, hw)):
+            raise ValueError("grid box must be finite: center +- half_width overflows")
         if any(w < 0 for w in hw):
             raise ValueError("half_width must be non-negative")
         if any(m < 1 for m in ppa):

@@ -142,11 +142,16 @@ def load_scenario(source: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # JSON config files
 
+def _is_number(value) -> bool:
+    """An int or a float; JSON true and false load as bools, which are ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str, kinds, where: str):
     if key not in doc:
         raise ConfigError(f"{where}: missing required field {key!r}")
     value = doc[key]
-    if not isinstance(value, kinds):
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
         raise ConfigError(
             f"{where}.{key}: expected {getattr(kinds, '__name__', kinds)}, "
             f"got {type(value).__name__}")
@@ -182,14 +187,16 @@ def _check_symmetric_text(entries, where: str):
 
 def _parse_grid(doc, dim: int) -> Grid:
     center = _require(doc, "center", list, "grid")
-    if len(center) != dim:
-        raise ConfigError(f"grid.center: expected {dim} coordinates, "
-                          f"got {len(center)}")
+    if len(center) != dim or not all(map(_is_number, center)):
+        raise ConfigError(f"grid.center: expected {dim} numbers, got {center!r}")
     half_width = _require(doc, "half_width", (int, float, list), "grid")
+    widths = half_width if isinstance(half_width, list) else [half_width]
+    if not all(map(_is_number, widths)):
+        raise ConfigError(f"grid.half_width: expected a number or a list of "
+                          f"numbers, got {half_width!r}")
     points = _require(doc, "points_per_axis", int, "grid")
     try:
-        return Grid(center=[float(c) for c in center],
-                    half_width=half_width, points_per_axis=points)
+        return Grid(center=center, half_width=half_width, points_per_axis=points)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"grid: {exc}") from None
 
@@ -201,7 +208,7 @@ def _parse_scheme(doc) -> DerivativeScheme:
             f"scheme.kind: unknown kind {kind!r}; choose from "
             f"symbolic, central-4, central-2")
     step = doc.get("step", DEFAULT_SCHEME.step)
-    if not isinstance(step, (int, float)):
+    if not _is_number(step):
         raise ConfigError("scheme.step: expected a number")
     try:
         return DerivativeScheme(kind=SCHEME_NAMES.get(kind, kind), step=float(step))
@@ -232,9 +239,7 @@ def _parse_poisson(doc: dict, dim: int, raw: dict):
     scales = raw.get("coframe_scales")
 
     if kind == "canonical":
-        rank = _require(doc, "rank", int, "poisson")
-        bivector = canonical_bivector(dim, rank)
-        expected = rank
+        expected = _require(doc, "rank", int, "poisson")
     elif kind == "matrix":
         entries = _string_matrix(
             _require(doc, "entries", list, "poisson"), dim, "poisson.entries")
@@ -245,6 +250,8 @@ def _parse_poisson(doc: dict, dim: int, raw: dict):
             f"poisson.kind: unknown kind {kind!r}; choose from "
             f"canonical, matrix, algebra")
     try:
+        if kind == "canonical":
+            bivector = canonical_bivector(dim, expected)
         structure = PoissonStructure(
             bivector=bivector,
             casimirs=[dsl.scalar_field(c, dim) for c in casimirs],
@@ -271,7 +278,7 @@ def _parse_metric(doc: dict, dim: int, algebra) -> MetricField:
             raise ConfigError("metric: the se3 block metric requires dim 6")
         alpha = doc.get("alpha", 0.0)
         beta = doc.get("beta", 1.0)
-        if not isinstance(alpha, (int, float)) or not isinstance(beta, (int, float)):
+        if not (_is_number(alpha) and _is_number(beta)):
             raise ConfigError("metric: alpha and beta must be numbers")
         return se3_metric(float(alpha), float(beta))
     if kind == "algebra-default":
@@ -306,7 +313,7 @@ def _load_config_file(path: str) -> ScenarioConfig:
     scheme = _parse_scheme(raw.get("scheme", {}))
     tol = raw.get("tol_zero")
     if tol is not None:
-        if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        if not (_is_number(tol) and math.isfinite(tol) and tol > 0):
             raise ConfigError("tol_zero: must be a positive finite number")
         tol = float(tol)
     return ScenarioConfig(name=name, structure=structure, metric=metric,

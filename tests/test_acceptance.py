@@ -18,8 +18,8 @@ import pytest
 from poisson_ortho import dsl, scenarios
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError
-from poisson_ortho.geometry import (CENTRAL_4, DerivativeScheme, Grid,
-                                    lie_bracket, matvec, partial_derivative)
+from poisson_ortho.geometry import (CENTRAL_4, DerivativeScheme, Grid, matvec,
+                                    partial_derivative)
 from poisson_ortho.integrability import EQUIVALENCE_IDS, verdict
 from poisson_ortho.liepoisson import (builtin_algebra, casimir_lie_bracket,
                                       killing_form, se3_metric,
@@ -279,7 +279,7 @@ def test_criterion_08_se3(builtin_runs):
     cfg = rep.scenario
     ctx = ChartContext(cfg.structure, cfg.metric, cfg.scheme)
     q = cfg.grid.sample().coords
-    brackets = lie_bracket(ctx.frame[0], ctx.frame[1], q, ctx.scheme)
+    brackets = ctx.frame_bracket(0, 1, "plain", "plain", q)
     for coords, gram, bracket in zip(q, ctx.gram_at(q), brackets):
         x, p = coords[:3], coords[3:]
         want = np.array([[2.0 * float(x @ p), float(p @ p)],

@@ -12,7 +12,7 @@ from poisson_ortho.dsl import ExprTensorField
 from poisson_ortho.errors import (
     ConfigError, ConsistencyError, DegeneracyError, RegularityError,
 )
-from poisson_ortho.geometry import Grid, lie_bracket, matvec
+from poisson_ortho.geometry import Grid, matvec
 from poisson_ortho.integrability import verdict
 from poisson_ortho.liepoisson import (
     BUILTIN_NAMES, StructureConstants, builtin_algebra, casimir_lie_bracket,
@@ -339,7 +339,7 @@ def test_se3_frame_bracket_vanishes_exactly():
         alg = builtin_algebra("se3", alpha=alpha, beta=beta)
         ctx = ChartContext(alg.structure, alg.metric)
         p = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
-        br = lie_bracket(ctx.frame[0], ctx.frame[1], p)
+        br = ctx.frame_bracket(0, 1, "plain", "plain", p)
         assert np.max(np.abs(br)) == 0.0
 
 

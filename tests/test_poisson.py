@@ -10,9 +10,7 @@ import pytest
 from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError, RegularityError
-from poisson_ortho.geometry import (
-    CENTRAL_4, DerivativeScheme, Grid, TensorField, jacobian,
-)
+from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, Grid, TensorField
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import (
     PoissonStructure, bivector_rank, canonical_bivector, coframe_fields,
@@ -428,9 +426,9 @@ def test_context_frame_keeps_exact_derivatives():
     p = pt(0.0, 0.0, 0.0, 0.0)
     jac = ctx.frame_jacobian(0, p)[0]
     assert np.array_equal(jac, np.zeros((4, 4)))
-    # the frame field differentiates through its jet, not a stencil
-    assert ctx.frame[0].has_exact_derivative
-    assert np.array_equal(jacobian(ctx.frame[0], p)[0], np.zeros((4, 4)))
+    # the bracket reads the frame's exact jet, not a stencil of the frame
+    assert np.array_equal(ctx._frame_variant(0, "plain", p)[1], ctx.frame_jacobian(0, p))
+    assert np.array_equal(ctx.frame_bracket(0, 1, "plain", "plain", p)[0], np.zeros(4))
 
 
 def test_context_gram_degeneracy_propagates():

@@ -1,18 +1,22 @@
-"""The builtin reports, pinned byte for byte.
+"""The builtin reports and a few random-metric reports, pinned byte for byte.
 
-Each digest is the SHA-256 of ``RunReport.json_text()`` for one builtin
-scenario under one derivative scheme, with the scenario's default grid and
-tolerance. A refactor that claims identical reports keeps every digest; a
-change that moves digits on purpose updates the table and says so.
+Each digest is the SHA-256 of ``RunReport.json_text()`` for one scenario
+under one derivative scheme: a builtin with its default grid and tolerance,
+or a random-metric config file. A refactor that claims identical reports
+keeps every digest; a change that moves digits on purpose updates the table
+and says so.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from poisson_ortho.geometry import SCHEME_NAMES, DerivativeScheme
 from poisson_ortho.scenarios import BUILTIN_SCENARIOS, load_scenario, run
+from random_metrics import random_metric_entries
 
 DIGESTS = {
     ("euclid4", "symbolic"):
@@ -59,6 +63,66 @@ DIGESTS = {
         "6d16721ab55d2b450d1c570e4f93d7bdd545d9ce02455d44ceb3d84d18677d25",
 }
 
+# random transversal-leaf metrics (every g_{It} nonzero) with non-constant
+# coframe scales: they reach the projected-frame brackets with terms the
+# builtins leave at zero
+RANDOM_DIGESTS = {
+    (1, "symbolic"):
+        "59ab96fd5ed726e32784ade4b01dae640fb0379e426ec2b2941ac81877ad8fff",
+    (1, "central-4"):
+        "4732dcda80cf4a378ca3b63931b413520c831aab796f42d81e7b2d0aa8c0fdef",
+    (1, "central-2"):
+        "73cbe061f36b6fe10f3cb5db19da48edd8d8e314ddcd3fcb3b4d3db92001ecf6",
+    (2, "symbolic"):
+        "1036620d583b7d544b6f086af6448b07daccc4bf39920abf8e02c31560796a42",
+    (2, "central-4"):
+        "8b1dee0cb52c26ba191eacb8e38f340b19eb8edad1ef71103e16ac8c62f50a15",
+    (2, "central-2"):
+        "60ce0d5d8348d81947f4ee5bc09fdc0d37d61799e2b6bd175349fed62f9d6edc",
+    (3, "symbolic"):
+        "65ad6a02508aca3b8ed1ad349df9bbfd4e573a3cb18080ba7c87cb5d2e0423cf",
+    (3, "central-4"):
+        "201bb70c77546c48c300e6040de78a7b9643084e50a070b918e894cd41bab051",
+    (3, "central-2"):
+        "5dfa9dddde666b9263deba9aa1a0a46f5a9cc0c5fbee1a1bfa5eaeb388924832",
+    (4, "symbolic"):
+        "99d9d32d2637afc74758805548a5a68ba9025e98cf04bc9c00513f4bd57ada5d",
+    (4, "central-4"):
+        "ce6765419ba8e2f4b95875ec171fa3c7a65627d199fe3193fda04d3b5fc64d53",
+    (4, "central-2"):
+        "6b778a97fb3211631e750ff6ffc28a1e85b3cb6b0113262aadea1f8694572de7",
+    (5, "symbolic"):
+        "85d79b5850da79519ce9413137711011a41859a0ec219a758ae603ca68af6f25",
+    (5, "central-4"):
+        "f232478b7bfc59c8c74ae7b8d971f4acd0fa6d893216150acea06b7dcfcda021",
+    (5, "central-2"):
+        "a0e9d46207dc2c7e3b16d8b7ad7d3ffb25c121bfff07d8dcfecd8011be11e30b",
+    (6, "symbolic"):
+        "1e273b2e7fbd630ba4eae0b13bd3824bda3ffa3b027d7e25d4a4258d6c8f27c2",
+    (6, "central-4"):
+        "376392b2872205d50b1cf5ea8fb74f5d48d278b0d082776756bb62eefde357c5",
+    (6, "central-2"):
+        "98e4a33b7ae14bd1b0c13612a408b4a86b731e495cbe17cf2a0117c771e1ad53",
+}
+
+
+def random_leaf_config(seed: int, scheme: str) -> dict:
+    return {
+        "name": f"random-leaf-{seed}",
+        "dim": 4,
+        "poisson": {"kind": "canonical", "rank": 2},
+        "casimirs": ["x1", "x2"],
+        "coframe_scales": ["1 + x3^2/4", "2 - x1*x4/8"],
+        "metric": {"kind": "matrix", "entries": random_metric_entries(
+            np.random.default_rng(seed), transversal_leaf=True)},
+        "grid": {"center": [0.0] * 4, "half_width": 0.5, "points_per_axis": 3},
+        "scheme": {"kind": scheme},
+    }
+
+
+def digest(report) -> str:
+    return hashlib.sha256(report.json_text().encode("utf-8")).hexdigest()
+
 
 def test_every_builtin_and_scheme_is_pinned():
     assert set(DIGESTS) == {(name, scheme) for name in BUILTIN_SCENARIOS
@@ -71,5 +135,11 @@ def test_builtin_report_is_byte_identical(name, scheme):
     # the scheme override as the CLI's --scheme applies it
     config = replace(config, scheme=DerivativeScheme(
         kind=SCHEME_NAMES[scheme], step=config.scheme.step))
-    text = run(config).json_text()
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name, scheme]
+    assert digest(run(config)) == DIGESTS[name, scheme]
+
+
+@pytest.mark.parametrize("seed, scheme", sorted(RANDOM_DIGESTS))
+def test_random_metric_report_is_byte_identical(tmp_path, seed, scheme):
+    path = tmp_path / "random-leaf.json"
+    path.write_text(json.dumps(random_leaf_config(seed, scheme)))
+    assert digest(run(load_scenario(str(path)))) == RANDOM_DIGESTS[seed, scheme]

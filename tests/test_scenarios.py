@@ -136,6 +136,7 @@ def test_config_field_validation(tmp_path):
     ("tol_zero", float("nan")), ("tol_zero", float("inf")),
     ("half_width", float("nan")), ("half_width", float("inf")),
     ("center", [float("nan"), 0.0, 0.0, 0.0]),
+    ("half_width", 1e308),  # finite, but the box width overflows
 ])
 def test_config_rejects_non_finite_numbers(tmp_path, field, value):
     # json.load reads NaN and Infinity, so a config file can carry them
@@ -146,6 +147,52 @@ def test_config_rejects_non_finite_numbers(tmp_path, field, value):
         doc["grid"][field] = value
     with pytest.raises(ConfigError, match="finite"):
         load_scenario(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol_zero", True), ("points_per_axis", True), ("center", ["0.5", 0, 0, 0]),
+    ("center", [False, 0, 0, 0]), ("half_width", True), ("half_width", [True, 1, 1, 1]),
+    ("scheme", {"kind": "central-4", "step": False}),
+])
+def test_config_rejects_booleans_and_strings_as_numbers(tmp_path, field, value):
+    # JSON true and false load as bools, an int subclass, and float() reads a
+    # numeric string: a true tol_zero would run with tolerance 1
+    doc = chart_config()
+    if field in ("tol_zero", "scheme"):
+        doc[field] = value
+    else:
+        doc["grid"][field] = value
+    with pytest.raises(ConfigError):
+        load_scenario(write_config(tmp_path, doc))
+
+
+def test_cli_boolean_tolerance_is_not_a_verdict(tmp_path, capsys):
+    # the shear is non-integrable; a tolerance of 1 would pass it as exit 0
+    assert main(["check", write_config(tmp_path, chart_config(tol_zero=True))]) == 3
+    assert "tol_zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"alpha": True}, {"beta": "1"}])
+def test_config_se3_metric_parameters_are_numbers(tmp_path, params):
+    doc = {
+        "name": "se3-metric",
+        "dim": 6,
+        "poisson": {"kind": "algebra", "name": "se3"},
+        "metric": {"kind": "se3", **params},
+        "grid": {"center": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                 "half_width": 0.25, "points_per_axis": 2},
+    }
+    with pytest.raises(ConfigError, match="alpha and beta"):
+        load_scenario(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("rank", [3, 6])
+def test_config_bad_canonical_rank_is_a_config_error(tmp_path, capsys, rank):
+    path = write_config(tmp_path, chart_config(poisson={"kind": "canonical", "rank": rank}))
+    with pytest.raises(ConfigError, match="rank"):
+        load_scenario(path)
+    assert main(["check", path]) == 3
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_config_algebra_kind(tmp_path):
@@ -428,6 +475,17 @@ def test_cli_non_finite_tolerance_or_grid_is_a_usage_error(capsys, flags):
     for name in ("euclid4", "model4d-atan"):
         assert main(["check", name, *flags]) == 3
         assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, center", [("euclid4", "0,0,0,0"),
+                                          ("model4d-atan", "1e308,0,0,0")])
+def test_cli_overflowing_grid_box_is_a_usage_error(capsys, name, center):
+    # a finite center and half width whose box overflows: the grid would
+    # sample inf and NaN coordinates
+    flags = ["--grid-center", center, "--grid-half-width", "1e308", "--format", "json"]
+    assert main(["check", name, *flags]) == 3
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
 
 
 def test_cli_help_exits_zero(capsys):
