@@ -13,10 +13,11 @@ The derivative scheme decides one thing only: how the partials of the
 input fields are obtained, that is of g, P, each Casimir gradient and each
 coframe scale. Under ``symbolic`` an expression or constant input is
 differentiated exactly; under the ``central-*`` schemes, or for a plain
-numeric field, the input is differenced by one stencil over the batch,
-which is one evaluation of the input over the stacked shifted copies of
-the batch. A Casimir gradient is then itself a stencil of its Casimir, so
-its partials, the Casimir Hessian, are a stencil of a stencil.
+numeric field, the input is differenced by one stencil per axis over the
+batch, which is one evaluation of the input over the stacked shifted
+copies of the batch. A differenced Casimir is evaluated once for its
+gradient, all axes stacked, and once per outer axis for its Hessian
+(``geometry.stencil_gradient`` and ``stencil_hessian``).
 The context keeps those partials once per batch and builds every other
 derivative from them by the product rule:
 
@@ -50,7 +51,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsl
-from .geometry import DEFAULT_SCHEME, DerivativeScheme, jacobian, lie_bracket, matvec
+from .geometry import (
+    DEFAULT_SCHEME, DerivativeScheme, is_exact, jacobian, lie_bracket, matvec,
+    stencil_gradient, stencil_hessian,
+)
 from .metric import (
     Christoffel, MetricField, christoffel, covariant_derivative_bivector,
     covariant_derivative_oneform, inverse_metric, laplacian,
@@ -59,23 +63,22 @@ from .metric import (
 from .poisson import PoissonStructure, _scale_field, check_gram_nondegenerate
 
 
-def _rows(fields, q) -> np.ndarray:
-    """Fields evaluated as rows: (..., k, dim) for one-forms, (..., k) for
-    scalars."""
-    return np.stack([w.components(q) for w in fields], axis=1)
-
-
-def _row_partials(fields, q, scheme) -> np.ndarray:
-    """Partials of fields as rows: d_l w^i_s of one-forms as [..., l, i, s],
-    d_l s_i of scalars as [..., l, i]."""
-    return np.stack([jacobian(w, q, scheme) for w in fields], axis=2)
+def _casimir_derivatives(casimir, scheme):
+    """(gradient, hessian) of a Casimir: q -> dc as (n, dim) and
+    q -> d_l (dc)_s as [n, l, s]. An exact Casimir's gradient is an exact
+    field; a differenced one takes the flat stencils."""
+    if is_exact(casimir, scheme):
+        gradient = dsl.gradient_field(casimir, scheme)
+        return gradient.components, lambda q: jacobian(gradient, q, scheme)
+    return (lambda q: stencil_gradient(casimir, q, scheme),
+            lambda q: stencil_hessian(casimir, q, scheme))
 
 
 class ChartContext:
     """Bundles a Poisson structure and metric over one chart.
 
-    ``gradients`` are the input one-form fields, the Casimir gradients dc^i,
-    and ``scales`` the scalar fields s_i of the coframe omega^i = s_i dc^i
+    The input one-forms are the Casimir gradients dc^i, and ``scales`` the
+    scalar fields s_i of the coframe omega^i = s_i dc^i
     (None when the structure has no coframe scales, and then
     omega^i = dc^i). The coframe is no field of its own: its values and
     partials are built from those of the gradients and scales by the
@@ -96,7 +99,7 @@ class ChartContext:
         self.dim = structure.dim
         self.codim = structure.codim
         self._batches: dict = {}
-        self.gradients = [dsl.gradient_field(c, scheme) for c in structure.casimirs]
+        self._casimirs = [_casimir_derivatives(c, scheme) for c in structure.casimirs]
         self.scales = (None if structure.coframe_scales is None
                        else [_scale_field(s, self.dim) for s in structure.coframe_scales])
 
@@ -131,21 +134,26 @@ class ChartContext:
     def gradient_at(self, p) -> np.ndarray:
         """Casimir gradient rows dc^i, (..., codim, dim): the coframe
         without its scales."""
-        return self._cached("gradient", p, lambda q: _rows(self.gradients, q))
+        return self._cached(
+            "gradient", p,
+            lambda q: np.stack([gradient(q) for gradient, _ in self._casimirs], axis=1))
 
     def gradient_jacobian_at(self, p) -> np.ndarray:
         """Casimir Hessians d_l (dc^i)_s as [..., l, i, s]."""
         return self._cached(
-            "dgradient", p, lambda q: _row_partials(self.gradients, q, self.scheme))
+            "dgradient", p,
+            lambda q: np.stack([hessian(q) for _, hessian in self._casimirs], axis=2))
 
     def _scale_at(self, q) -> np.ndarray:
         """Coframe scales s_i as (..., codim)."""
-        return self._cached("scale", q, lambda q: _rows(self.scales, q))
+        return self._cached(
+            "scale", q, lambda q: np.stack([s.components(q) for s in self.scales], axis=1))
 
     def _scale_jacobian_at(self, q) -> np.ndarray:
         """d_l s_i as [..., l, i]."""
         return self._cached(
-            "dscale", q, lambda q: _row_partials(self.scales, q, self.scheme))
+            "dscale", q,
+            lambda q: np.stack([jacobian(s, q, self.scheme) for s in self.scales], axis=2))
 
     def coframe_at(self, p) -> np.ndarray:
         """Coframe rows omega^i = s_i dc^i, shape (..., codim, dim)."""

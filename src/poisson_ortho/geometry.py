@@ -189,16 +189,56 @@ class TensorField:
         out = np.asarray(self._evaluate(coords), dtype=float)
         if out.shape != (len(coords),) + self.shape:
             raise ValueError(f"field produced shape {out.shape[1:]}, want {self.shape}")
-        finite = np.isfinite(out).reshape(len(coords), -1).all(axis=1)
-        if not finite.all():
-            bad = Point(coords[int(np.argmin(finite))])
-            raise EvaluationError(f"non-finite field value at {bad!r}", point=bad)
+        _require_finite(out, coords)
         return out
 
     def partial_field(self, axis: int) -> "TensorField | None":
         if self._partial is None:
             return None
         return self._partial(axis)
+
+
+def _require_finite(values, coords) -> None:
+    """Raise EvaluationError at the first row of coords whose values are not
+    all finite; values has one leading entry per row."""
+    finite = np.isfinite(values).reshape(len(coords), -1).all(axis=1)
+    if not finite.all():
+        bad = Point(coords[int(np.argmin(finite))])
+        raise EvaluationError(f"non-finite field value at {bad!r}", point=bad)
+
+
+def is_exact(field: TensorField, scheme: DerivativeScheme) -> bool:
+    """Whether the scheme takes the field's partials exactly, not by a stencil."""
+    return scheme.kind == SYMBOLIC and field.has_exact_derivative
+
+
+def _offsets(h, kind):
+    """The stencil's shifts of a coordinate with step h, stacked on a new
+    first axis: +h, -h for central-2 and -2h, -h, +h, +2h otherwise."""
+    if kind == CENTRAL_2:
+        return np.stack((+h, -h))
+    return np.stack((-2.0 * h, -h, +h, +2.0 * h))
+
+
+def _combine(values, h, kind):
+    """The central difference of values taken at ``_offsets(h, kind)``,
+    stacked on the first axis; h broadcasts against one offset's values."""
+    if kind == CENTRAL_2:
+        fp1, fm1 = values
+        return (fp1 - fm1) / (2.0 * h)
+    fm2, fm1, fp1, fp2 = values
+    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+
+
+def _shifted(p, first, deltas):
+    """Copies of the rows of p, (n, dim), with coordinate first + j moved by
+    deltas[a, :, j] for each offset a: deltas (m, n, k) give a (k m n, dim)
+    array, axis-major, then offset-major."""
+    k = deltas.shape[-1]
+    out = np.broadcast_to(p, (k, len(deltas)) + p.shape).copy()
+    axes = np.arange(k)
+    out[axes, :, :, first + axes] += deltas.transpose(2, 0, 1)
+    return out.reshape(-1, p.shape[1])
 
 
 def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeScheme = DEFAULT_SCHEME):
@@ -208,27 +248,80 @@ def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeSchem
     otherwise a central stencil with each point's own step. One stencil is
     one evaluation of the field: the shifted copies of the batch are stacked
     into one (k n, dim) array, -2h, -h, +h, +2h for central-4 and +h, -h for
-    central-2, so a nested stencil hands its inner one a single stacked
-    batch as well. A check stencils only its input fields; the context
-    builds every composite derivative from their partials as arrays. A
-    non-finite stencil value raises EvaluationError at the first offending
-    shifted point in that order.
+    central-2. A check stencils only its input fields (a differenced scalar
+    goes through ``stencil_gradient`` and ``stencil_hessian``, with the same
+    offsets, steps and arithmetic); the context builds every composite
+    derivative from their partials as arrays. A non-finite stencil value
+    raises EvaluationError at the first offending shifted point in that
+    order.
     """
     if not (0 <= axis < field.dim):
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")
-    if scheme.kind == SYMBOLIC and field.has_exact_derivative:
+    if is_exact(field, scheme):
         return field.partial_field(axis).components(p)
-    h = scheme.step_for(p[:, axis])
-    deltas = (+h, -h) if scheme.kind == CENTRAL_2 else (-2.0 * h, -h, +h, +2.0 * h)
-    shifted = np.tile(p, (len(deltas), 1))
-    shifted[:, axis] += np.concatenate(deltas)
-    values = field.components(shifted).reshape((len(deltas), len(p)) + field.shape)
-    h_out = h.reshape((-1,) + (1,) * len(field.variance))
-    if scheme.kind == CENTRAL_2:
-        fp1, fm1 = values
-        return (fp1 - fm1) / (2.0 * h_out)
-    fm2, fm1, fp1, fp2 = values
-    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_out)
+    return central_stencil(field.components, p, axis, scheme.step_for(p[:, axis]),
+                           scheme.kind)
+
+
+def central_stencil(evaluate, p, axis: int, h, kind: str) -> np.ndarray:
+    """The central difference along ``axis`` of an array function at each
+    row of p, with the steps h (n,) of the rows: ``evaluate`` maps an
+    (N, dim) array to values with a leading axis of length N, and is called
+    once, on the stacked shifted copies of p in the order of the offsets."""
+    deltas = _offsets(h, kind)
+    values = evaluate(_shifted(p, axis, deltas[..., None]))
+    values = values.reshape((len(deltas), len(p)) + values.shape[1:])
+    return _combine(values, h.reshape((-1,) + (1,) * (values.ndim - 2)), kind)
+
+
+def stencil_gradient(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndarray:
+    """The stencilled gradient d_s c of a scalar field at each row of p, (n, dim).
+
+    Equal bit for bit to ``partial_derivative`` on every axis, in one
+    evaluation of the field over the dim stacked stencils, axis-major, so a
+    non-finite value raises EvaluationError at the point the per-axis
+    stencils would meet first; a non-finite gradient raises at its row of p.
+    """
+    n, dim = p.shape
+    h = scheme.step_for(p)
+    deltas = _offsets(h, scheme.kind)
+    values = scalar.components(_shifted(p, 0, deltas)).reshape(dim, len(deltas), n)
+    out = _combine(values.transpose(1, 2, 0), h, scheme.kind)
+    _require_finite(out, p)
+    return out
+
+
+def stencil_hessian(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndarray:
+    """d_l d_s c of a scalar field at each row of p as [k, l, s].
+
+    Equal bit for bit to the stencil along l of ``stencil_gradient``, the
+    stencil of a stencil: the inner step on the diagonal is that of the
+    shifted coordinate, step_for(x_l + a h_l). The points of (l, s) and
+    (s, l) coincide, so each is evaluated once: one evaluation of the field
+    per outer axis l covers every inner axis s >= l, and its values are
+    combined in both orders. Non-finite values and gradients raise
+    EvaluationError at the point the nested stencils would meet first.
+    """
+    (n, dim), kind = p.shape, scheme.kind
+    m = 2 if kind == CENTRAL_2 else 4
+    # grads[l, a, k, s]: d_s c at row k of p shifted by the a-th offset along l
+    grads = np.empty((dim, m, n, dim))
+    out = np.empty((n, dim, dim))
+    for l in range(dim):
+        h = scheme.step_for(p[:, l])
+        outer = _shifted(p, l, _offsets(h, kind)[..., None])
+        inner = dim - l
+        steps = scheme.step_for(outer[:, l:])
+        # values[j, b, a, k]: shifted by the b-th offset along s = l + j
+        values = scalar.components(_shifted(outer, l, _offsets(steps, kind)))
+        values = values.reshape(inner, m, m, n)
+        grads[l, :, :, l:] = _combine(values.transpose(1, 2, 3, 0),
+                                      steps.reshape(m, n, inner), kind)
+        grads[l + 1:, :, :, l] = _combine(values[1:].transpose(2, 1, 3, 0),
+                                          h[:, None], kind).transpose(2, 0, 1)
+        _require_finite(grads[l].reshape(m * n, dim), outer)
+        out[:, l] = _combine(grads[l], h[:, None], kind)
+    return out
 
 
 def jacobian(field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):

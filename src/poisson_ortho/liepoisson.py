@@ -30,7 +30,7 @@ import numpy as np
 from . import dsl
 from .context import ChartContext
 from .errors import ConfigError, ConsistencyError, DegeneracyError, RegularityError
-from .geometry import Grid, Points
+from .geometry import CENTRAL_4, Grid, Points, central_stencil
 from .metric import MetricField
 from .poisson import PoissonStructure
 from .reports import ConditionReport
@@ -387,56 +387,50 @@ def casimir_lie_bracket(sc: StructureConstants, coframe: np.ndarray) -> np.ndarr
     return out
 
 
-def _surface_tangent(surface, params, axis: int, step_rule) -> np.ndarray:
-    # 4th-order central stencil in the parameter, same step rule as the
-    # field derivative scheme
-    params = [float(v) for v in params]
-    h = step_rule(params[axis])
-
-    def at(offset):
-        shifted = list(params)
-        shifted[axis] += offset
-        return np.asarray(surface(*shifted), dtype=float).reshape(-1)
-
-    return (at(-2 * h) - 8.0 * at(-h) + 8.0 * at(h) - at(2 * h)) / (12.0 * h)
-
-
 def verify_integral_surface(surface, ctx: ChartContext, samples,
                             tol: float | None = None) -> ConditionReport:
     """Check that a parametrized surface is tangent to the orthogonal frame.
 
-    surface maps parameter tuples (1 or more parameters) to chart
-    coordinates.  At each sample the parameter tangents are formed by
-    finite differences and decomposed against the frame columns by least
-    squares; the residual is the norm of the out-of-span component
-    (maximum over the tangent directions).  A rank-deficient frame along
-    the surface makes the decomposition meaningless and raises instead.
-    The frame is evaluated at all samples as one batch.
+    ``surface`` maps k parameter arrays of length m (k >= 1) to the (m, dim)
+    chart points, and ``samples`` holds the m parameter tuples, an (m, k)
+    array (or m numbers when k = 1). The surface is evaluated once at the
+    samples and once per parameter for the tangents, a 4th-order central
+    stencil with the derivative scheme's step rule. At each sample the
+    tangents are decomposed against the frame columns by one least-squares
+    solve; the residual is the norm of the out-of-span component (maximum
+    over the tangent directions). A rank-deficient frame along the surface
+    makes the decomposition meaningless and raises instead, naming the
+    first such sample. The frame is evaluated at all samples as one batch.
     """
     from .integrability import default_tolerance
 
     if tol is None:
         tol = default_tolerance(ctx.scheme)
-    all_params = [raw if isinstance(raw, (tuple, list, np.ndarray)) else (raw,)
-                  for raw in samples]
-    points = Points([np.asarray(surface(*params), dtype=float).reshape(-1)
-                     for params in all_params])
+    params = np.array(samples, dtype=float).reshape(len(samples), -1)
+
+    def at(q):
+        return np.asarray(surface(*q.T), dtype=float)
+
+    points = Points(at(params))
     frames = ctx.frame_at(points.coords)
+    steps = ctx.scheme.step_for(params)
+    # tangents[k, :, j]: d surface / d param j at sample k
+    tangents = np.stack([central_stencil(at, params, j, steps[:, j], CENTRAL_4)
+                         for j in range(params.shape[1])], axis=2)
+    sigma = np.linalg.svd(frames, compute_uv=False)
+    degenerate = sigma[:, -1] <= 1e-9 * sigma[:, 0]
+    if degenerate.any():
+        k = int(np.argmax(degenerate))
+        raise DegeneracyError(
+            f"orthogonal frame is rank-deficient on the surface at "
+            f"parameters {tuple(params[k].tolist())}",
+            detail=f"singular values {sigma[k]}")
     residuals = []
-    for params, frame in zip(all_params, frames):
-        sigma = np.linalg.svd(frame, compute_uv=False)
-        if sigma[-1] <= 1e-9 * sigma[0]:
-            raise DegeneracyError(
-                f"orthogonal frame is rank-deficient on the surface at "
-                f"parameters {tuple(params)}",
-                detail=f"singular values {sigma}")
-        worst = 0.0
-        for axis in range(len(params)):
-            tangent = _surface_tangent(surface, params, axis,
-                                       ctx.scheme.step_for)
-            coeffs = np.linalg.lstsq(frame, tangent, rcond=None)[0]
-            worst = max(worst, float(np.linalg.norm(tangent - frame @ coeffs)))
-        residuals.append(worst)
+    for frame, tangent in zip(frames, tangents):
+        coeffs = np.linalg.lstsq(frame, tangent, rcond=None)[0]
+        # one vector norm per direction: norm(..., axis=0) rounds differently
+        norms = [float(np.linalg.norm(t - frame @ c)) for t, c in zip(tangent.T, coeffs.T)]
+        residuals.append(max(0.0, *norms))
     return ConditionReport(
         "integral-surface", "|| (1 - Xi Xi^+) d surface / d param ||", tol,
         binding=False, points=points, residuals=residuals)

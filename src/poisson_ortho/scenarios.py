@@ -143,8 +143,15 @@ def load_scenario(source: str) -> ScenarioConfig:
 # JSON config files
 
 def _is_number(value) -> bool:
-    """An int or a float; JSON true and false load as bools, which are ints."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float that converts to a finite float. JSON true and
+    false load as bools, which are ints, and json.load reads NaN, Infinity
+    and integers too large for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _require(doc: dict, key: str, kinds, where: str):
@@ -188,16 +195,16 @@ def _check_symmetric_text(entries, where: str):
 def _parse_grid(doc, dim: int) -> Grid:
     center = _require(doc, "center", list, "grid")
     if len(center) != dim or not all(map(_is_number, center)):
-        raise ConfigError(f"grid.center: expected {dim} numbers, got {center!r}")
+        raise ConfigError(f"grid.center: expected {dim} finite numbers, got {center!r}")
     half_width = _require(doc, "half_width", (int, float, list), "grid")
     widths = half_width if isinstance(half_width, list) else [half_width]
     if not all(map(_is_number, widths)):
-        raise ConfigError(f"grid.half_width: expected a number or a list of "
-                          f"numbers, got {half_width!r}")
+        raise ConfigError(f"grid.half_width: expected a finite number or a list "
+                          f"of finite numbers, got {half_width!r}")
     points = _require(doc, "points_per_axis", int, "grid")
     try:
         return Grid(center=center, half_width=half_width, points_per_axis=points)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from None
 
 
@@ -209,7 +216,7 @@ def _parse_scheme(doc) -> DerivativeScheme:
             f"symbolic, central-4, central-2")
     step = doc.get("step", DEFAULT_SCHEME.step)
     if not _is_number(step):
-        raise ConfigError("scheme.step: expected a number")
+        raise ConfigError("scheme.step: expected a finite number")
     try:
         return DerivativeScheme(kind=SCHEME_NAMES.get(kind, kind), step=float(step))
     except ValueError as exc:
@@ -279,7 +286,7 @@ def _parse_metric(doc: dict, dim: int, algebra) -> MetricField:
         alpha = doc.get("alpha", 0.0)
         beta = doc.get("beta", 1.0)
         if not (_is_number(alpha) and _is_number(beta)):
-            raise ConfigError("metric: alpha and beta must be numbers")
+            raise ConfigError("metric: alpha and beta must be finite numbers")
         return se3_metric(float(alpha), float(beta))
     if kind == "algebra-default":
         if algebra is None:
@@ -313,7 +320,7 @@ def _load_config_file(path: str) -> ScenarioConfig:
     scheme = _parse_scheme(raw.get("scheme", {}))
     tol = raw.get("tol_zero")
     if tol is not None:
-        if not (_is_number(tol) and math.isfinite(tol) and tol > 0):
+        if not (_is_number(tol) and tol > 0):
             raise ConfigError("tol_zero: must be a positive finite number")
         tol = float(tol)
     return ScenarioConfig(name=name, structure=structure, metric=metric,
@@ -351,25 +358,27 @@ def thread_count() -> int:
 # algebra extras
 
 def _integral_surface_setup(name: str, center):
+    """(surface, samples): a surface maps parameter arrays to (m, dim)
+    points, and samples is an (m, k) array of parameters."""
     center = np.asarray(center, dtype=float)
-    line = [float(s) for s in np.linspace(-1.0, 1.0, 9)]
-    box = [(float(s), float(t)) for s in np.linspace(-1.0, 1.0, 5)
-           for t in np.linspace(-1.0, 1.0, 5)]
+    axis = np.linspace(-1.0, 1.0, 5)
+    line = np.linspace(-1.0, 1.0, 9)[:, None]
+    box = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     if name in ("so3", "sl2r"):
-        return (lambda s: np.exp(s) * center), line
+        return (lambda s: np.exp(s)[:, None] * center), line
     if name == "so3xso3":
         a, b = center[:3], center[3:]
 
         def torus_scaling(s, t):
-            return np.concatenate([np.exp(s) * a, np.exp(t) * b])
+            return np.concatenate([np.exp(s)[:, None] * a, np.exp(t)[:, None] * b], axis=1)
 
         return torus_scaling, box
     if name == "se3":
         x0, p0 = center[:3], center[3:]
 
         def screw(s, t):
-            return np.concatenate(
-                [np.exp(s) * x0 + np.exp(t) * p0, np.exp(s) * p0])
+            es, et = np.exp(s)[:, None], np.exp(t)[:, None]
+            return np.concatenate([es * x0 + et * p0, es * p0], axis=1)
 
         return screw, box
     return None, None

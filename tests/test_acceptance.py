@@ -292,8 +292,8 @@ def test_criterion_08_se3(builtin_runs):
     x0, p0 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
 
     def screw(s, t):
-        return np.concatenate(
-            [math.exp(s) * x0 + math.exp(t) * p0, math.exp(s) * p0])
+        es, et = np.exp(s)[:, None], np.exp(t)[:, None]
+        return np.concatenate([es * x0 + et * p0, es * p0], axis=1)
 
     samples = [(float(s), float(t)) for s in np.linspace(-1.0, 1.0, 5)
                for t in np.linspace(-1.0, 1.0, 5)]

@@ -8,7 +8,7 @@ from poisson_ortho import dsl
 from poisson_ortho.errors import EvaluationError
 from poisson_ortho.geometry import (
     CENTRAL_2, CENTRAL_4, DerivativeScheme, Grid, Point, TensorField,
-    jacobian, lie_bracket, partial_derivative,
+    jacobian, lie_bracket, partial_derivative, stencil_gradient, stencil_hessian,
 )
 
 
@@ -230,6 +230,98 @@ def test_stacked_stencil_reports_the_oracles_non_finite_point(kind):
             differentiate(field, p, 1, scheme)
         points.append(err.value.point)
     assert points[0] == points[1] == Point([3.0, bad])
+
+
+# Casimirs as the flat stencils meet them: powers, sin, exp and atan
+CASIMIR_ATOMS = ("x1^3 - x2*x3", "sin(x1)*x2", "exp(x2/4)*x3", "atan(x3)*x1",
+                 "x1^2*x2^2", "exp(x1)*atan(x2*x3)", "sin(x1*x3)")
+COORDS = st.lists(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+                  min_size=1, max_size=4)
+
+
+def nested_hessian(scalar, p, scheme):
+    """The stencil of the gradient's stencil closure: the reference of the
+    flat Hessian."""
+    return jacobian(dsl.gradient_field(scalar, scheme), p, scheme)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(CASIMIR_ATOMS), min_size=1, max_size=2).map(" + ".join),
+       st.sampled_from((CENTRAL_2, CENTRAL_4)),
+       st.sampled_from((1e-5, 1e-3)),
+       COORDS)
+def test_flat_casimir_stencils_are_bit_identical_to_per_axis_and_nested_ones(
+        source, kind, step, coords):
+    # coordinates beyond |x| = 1 scale the step, so on the diagonal the inner
+    # step step_for(x_l + a h_l) differs from the outer one
+    scheme = DerivativeScheme(kind=kind, step=step)
+    scalar = dsl.scalar_field(source, 3)
+    p = np.array(coords)
+    batches = []
+
+    def evaluate(q):
+        batches.append(len(q))
+        return scalar.components(q)
+
+    counted = TensorField(3, "", evaluate)
+    per_axis = np.stack([partial_derivative(scalar, p, s, scheme) for s in range(3)], axis=1)
+    assert np.array_equal(stencil_gradient(counted, p, scheme), per_axis)
+    m = 2 if kind == CENTRAL_2 else 4
+    assert batches == [3 * m * len(p)]
+
+    batches.clear()
+    assert np.array_equal(stencil_hessian(counted, p, scheme),
+                          nested_hessian(scalar, p, scheme))
+    # one evaluation per outer axis l, covering the inner axes s >= l
+    assert batches == [(3 - l) * m * m * len(p) for l in range(3)]
+
+
+def _outcome(compute):
+    """The array compute returns, or the point of its EvaluationError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return compute()
+    except EvaluationError as err:
+        return err.point
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((CENTRAL_2, CENTRAL_4)), COORDS, st.data())
+def test_flat_casimir_stencils_fail_at_the_nested_stencils_point(kind, coords, data):
+    # some of the points the reference stencils read get a NaN, or a finite
+    # value whose difference overflows into a non-finite gradient; with
+    # several, the first fault in the nested stencils' order must win
+    scheme = DerivativeScheme(kind=kind, step=1e-3)
+    p = np.array(coords)
+    read = []
+
+    def smooth(q):
+        read.append(q.copy())
+        return np.sin(q[:, 0]) * q[:, 1] + q[:, 2]
+
+    clean = TensorField(3, "", smooth)
+    dsl.gradient_field(clean, scheme).components(p)
+    nested_hessian(clean, p, scheme)
+    read = np.concatenate(read)
+    picks = st.tuples(st.sampled_from(range(len(read))), st.sampled_from((math.nan, 1e308)))
+    bad = [(read[i], value) for i, value in data.draw(st.lists(picks, min_size=1, max_size=3))]
+
+    def poisoned(q):
+        out = np.sin(q[:, 0]) * q[:, 1] + q[:, 2]
+        for point, value in bad:
+            out[(q == point).all(axis=1)] = value
+        return out
+
+    scalar = TensorField(3, "", poisoned)
+    for flat, reference in (
+            (stencil_gradient, lambda: dsl.gradient_field(scalar, scheme).components(p)),
+            (stencil_hessian, lambda: nested_hessian(scalar, p, scheme))):
+        got, want = _outcome(lambda: flat(scalar, p, scheme)), _outcome(reference)
+        assert type(got) is type(want)
+        if isinstance(want, Point):
+            assert got == want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

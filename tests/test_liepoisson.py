@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poisson_ortho import scenarios
 from poisson_ortho.context import ChartContext
 from poisson_ortho.dsl import ExprTensorField
 from poisson_ortho.errors import (
     ConfigError, ConsistencyError, DegeneracyError, RegularityError,
 )
-from poisson_ortho.geometry import Grid, matvec
+from poisson_ortho.geometry import SCHEME_KINDS, DerivativeScheme, Grid, matvec
 from poisson_ortho.integrability import verdict
 from poisson_ortho.liepoisson import (
     BUILTIN_NAMES, StructureConstants, builtin_algebra, casimir_lie_bracket,
@@ -372,12 +373,17 @@ def test_builtin_verdicts_integrable(name):
 # ---------------------------------------------------------------------------
 # integral surfaces
 
+def columns(*entries):
+    """(m, dim) surface points from per-coordinate parameter arrays or numbers."""
+    return np.stack(np.broadcast_arrays(*entries), axis=1).astype(float)
+
+
 def se3_exponential_surface(s, t):
     base_x = np.array([1.0, 0.0, 0.0])
     base_p = np.array([0.0, 1.0, 0.0])
-    x = np.exp(s) * base_x + np.exp(t) * base_p
-    p = np.exp(s) * base_p
-    return np.concatenate([x, p])
+    x = np.exp(s)[:, None] * base_x + np.exp(t)[:, None] * base_p
+    p = np.exp(s)[:, None] * base_p
+    return np.concatenate([x, p], axis=1)
 
 
 def param_box(lo, hi, count):
@@ -397,7 +403,7 @@ def test_integral_surface_se3_exponential():
 def test_integral_surface_so3_ray():
     alg = builtin_algebra("so3")
     ctx = ChartContext(alg.structure, alg.metric)
-    surface = lambda s: np.exp(s) * np.array([0.0, 0.0, 1.0])
+    surface = lambda s: np.exp(s)[:, None] * np.array([0.0, 0.0, 1.0])
     rep = verify_integral_surface(surface, ctx, [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert rep.holds
     assert rep.max_residual <= 1e-9
@@ -406,7 +412,7 @@ def test_integral_surface_so3_ray():
 def test_integral_surface_negative_control():
     alg = builtin_algebra("se3")
     ctx = ChartContext(alg.structure, alg.metric)
-    surface = lambda s, t: np.array([1.0 + s, 0.0, 0.0, 0.0, 1.0 + t, 0.0])
+    surface = lambda s, t: columns(1.0 + s, 0.0, 0.0, 0.0, 1.0 + t, 0.0)
     rep = verify_integral_surface(surface, ctx, param_box(-0.5, 0.5, 3))
     assert not rep.holds
     assert rep.max_residual > 0.1
@@ -415,6 +421,54 @@ def test_integral_surface_negative_control():
 def test_integral_surface_degenerate_frame():
     alg = builtin_algebra("se3")
     ctx = ChartContext(alg.structure, alg.metric)
-    surface = lambda s, t: np.array([s, t, 0.0, 0.0, 0.0, 0.0])
+    surface = lambda s, t: columns(s, t, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DegeneracyError, match="rank-deficient"):
         verify_integral_surface(surface, ctx, [(0.3, 0.4)])
+
+
+def test_integral_surface_names_the_first_degenerate_sample():
+    # the se3 frame is rank-deficient where p = 0, here wherever s = 0
+    alg = builtin_algebra("se3")
+    ctx = ChartContext(alg.structure, alg.metric)
+    surface = lambda s, t: columns(1.0, t, 0.0, s, 0.0, 0.0)
+    with pytest.raises(DegeneracyError, match=r"parameters \(0\.0, 0\.25\)$"):
+        verify_integral_surface(surface, ctx, [(1.0, 0.5), (0.0, 0.25), (0.0, 0.75)])
+
+
+def per_sample_residuals(surface, ctx, samples):
+    """The integral-surface residuals one sample and one tangent at a time,
+    each tangent a scalar 4th-order stencil of the surface: the reference of
+    the batched check."""
+    def at(params):
+        return surface(*(np.array([v]) for v in params))[0]
+
+    residuals = []
+    for raw in samples:
+        params = [float(v) for v in np.atleast_1d(raw)]
+        frame = ctx.frame_at(at(params)[None])[0]
+        worst = 0.0
+        for axis in range(len(params)):
+            h = ctx.scheme.step_for(params[axis])
+
+            def shifted(offset):
+                moved = list(params)
+                moved[axis] += offset
+                return at(moved)
+
+            tangent = (shifted(-2 * h) - 8.0 * shifted(-h) + 8.0 * shifted(h)
+                       - shifted(2 * h)) / (12.0 * h)
+            coeffs = np.linalg.lstsq(frame, tangent, rcond=None)[0]
+            worst = max(worst, float(np.linalg.norm(tangent - frame @ coeffs)))
+        residuals.append(worst)
+    return residuals
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batched_surface_check_is_bit_identical_to_per_sample_stencils(name, kind):
+    alg = builtin_algebra(name)
+    ctx = ChartContext(alg.structure, alg.metric, DerivativeScheme(kind=kind))
+    surface, samples = scenarios._integral_surface_setup(name, alg.default_center)
+    rep = verify_integral_surface(surface, ctx, samples)
+    assert rep.residuals == per_sample_residuals(surface, ctx, samples)
+    assert 0.0 < rep.max_residual <= 1e-9

@@ -149,6 +149,34 @@ def test_config_rejects_non_finite_numbers(tmp_path, field, value):
         load_scenario(write_config(tmp_path, doc))
 
 
+SE3_METRIC_CONFIG = {
+    "name": "se3-metric",
+    "dim": 6,
+    "poisson": {"kind": "algebra", "name": "se3"},
+    "metric": {"kind": "se3"},
+    "grid": {"center": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+             "half_width": 0.25, "points_per_axis": 2},
+}
+HUGE = 10 ** 400  # json.load reads it as an int too large for a float
+
+
+@pytest.mark.parametrize("doc", [
+    chart_config(tol_zero=HUGE),
+    chart_config(grid={"center": [HUGE, 0, 0, 0], "half_width": 0.5, "points_per_axis": 2}),
+    chart_config(grid={"center": [0, 0, 0, 0], "half_width": HUGE, "points_per_axis": 2}),
+    chart_config(grid={"center": [0, 0, 0, 0], "half_width": [1, HUGE, 1, 1],
+                       "points_per_axis": 2}),
+    chart_config(grid={"center": [0, 0, 0, 0], "half_width": 0.5, "points_per_axis": HUGE}),
+    chart_config(scheme={"kind": "central-4", "step": HUGE}),
+    {**SE3_METRIC_CONFIG, "metric": {"kind": "se3", "alpha": HUGE}},
+    {**SE3_METRIC_CONFIG, "metric": {"kind": "se3", "beta": HUGE}},
+], ids=["tol_zero", "center", "half_width", "half_width_list", "points_per_axis",
+        "step", "alpha", "beta"])
+def test_cli_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, doc):
+    assert main(["check", write_config(tmp_path, doc)]) == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("tol_zero", True), ("points_per_axis", True), ("center", ["0.5", 0, 0, 0]),
     ("center", [False, 0, 0, 0]), ("half_width", True), ("half_width", [True, 1, 1, 1]),
@@ -174,14 +202,7 @@ def test_cli_boolean_tolerance_is_not_a_verdict(tmp_path, capsys):
 
 @pytest.mark.parametrize("params", [{"alpha": True}, {"beta": "1"}])
 def test_config_se3_metric_parameters_are_numbers(tmp_path, params):
-    doc = {
-        "name": "se3-metric",
-        "dim": 6,
-        "poisson": {"kind": "algebra", "name": "se3"},
-        "metric": {"kind": "se3", **params},
-        "grid": {"center": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-                 "half_width": 0.25, "points_per_axis": 2},
-    }
+    doc = {**SE3_METRIC_CONFIG, "metric": {"kind": "se3", **params}}
     with pytest.raises(ConfigError, match="alpha and beta"):
         load_scenario(write_config(tmp_path, doc))
 
@@ -382,32 +403,40 @@ def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch)
 
 def test_central_check_stencils_each_casimir_gradient_once(monkeypatch):
     # the scaled coframe and its partials come from the Casimir gradients,
-    # their Hessians and the scales by the product rule, so the only
-    # one-forms differentiated on the grid are the codim Casimir gradient
-    # closures, with dim partials each
+    # their Hessians and the scales by the product rule, so no one-form is
+    # stencilled; on the grid each Casimir is evaluated once for its
+    # gradient and once per outer axis for its Hessian
     config = load_scenario("se3")
     config = replace(config,
                      grid=Grid(config.grid.center, config.grid.half_width, 2),
                      scheme=DerivativeScheme(kind=CENTRAL_4, step=config.scheme.step))
     grid = config.grid.sample().coords
+    casimirs = config.structure.casimirs
+    evaluations = [0] * len(casimirs)
+    stencilled = []
+    components = geometry.TensorField.components
     partial = geometry.partial_derivative
-    depth = [0]
-    oneforms = {}  # id -> (field, axes); holding the field keeps its id unique
 
-    def outermost(field, p, axis, *args):
-        if depth[0] == 0 and field.variance == "l" and np.array_equal(p, grid):
-            oneforms.setdefault(id(field), (field, []))[1].append(axis)
-        depth[0] += 1
-        try:
-            return partial(field, p, axis, *args)
-        finally:
-            depth[0] -= 1
-    monkeypatch.setattr(geometry, "partial_derivative", outermost)
+    def on_grid(q):
+        # a stencil batch of the grid: shifted copies of it, offset-major
+        return (len(q) % len(grid) == 0
+                and np.allclose(q.reshape(-1, *grid.shape), grid, rtol=0.0, atol=1e-3))
+
+    def counted(field, coords):
+        for i, casimir in enumerate(casimirs):
+            evaluations[i] += field is casimir and on_grid(np.asarray(coords))
+        return components(field, coords)
+
+    def recorded(field, *args):
+        stencilled.append(field.variance)
+        return partial(field, *args)
+    monkeypatch.setattr(geometry.TensorField, "components", counted)
+    monkeypatch.setattr(geometry, "partial_derivative", recorded)
 
     assert run(config).exit_code == 0
     assert config.structure.coframe_scales is not None
-    assert len(oneforms) == config.structure.codim
-    assert all(axes == list(range(config.dim)) for _, axes in oneforms.values())
+    assert evaluations == [1 + config.dim] * config.structure.codim
+    assert stencilled and "l" not in stencilled
 
 
 def test_thread_count_env(monkeypatch):
