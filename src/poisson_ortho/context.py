@@ -11,13 +11,18 @@ them as arrays.
 
 The derivative scheme decides one thing only: how the partials of the
 input fields are obtained, that is of g, P, each Casimir gradient and each
-coframe scale. Under ``symbolic`` an expression or constant input is
-differentiated exactly; under the ``central-*`` schemes, or for a plain
-numeric field, the input is differenced by one stencil per axis over the
-batch, which is one evaluation of the input over the stacked shifted
-copies of the batch. A differenced Casimir is evaluated once for its
-gradient, all axes stacked, and once per outer axis for its Hessian
-(``geometry.stencil_gradient`` and ``stencil_hessian``).
+coframe scale. An input's partial along an axis outside its ``reads``
+(the variables of an expression input, none of a constant one) is an
+exact zero under every scheme. Along the others, under ``symbolic`` an
+expression or constant input is differentiated exactly; under the
+``central-*`` schemes, or for a plain numeric field, whose reads are
+unknown, the input is differenced by one stencil per axis over the batch,
+which is one evaluation of the input over the stacked shifted copies of
+the batch. A differenced Casimir is evaluated once for its gradient, all
+read axes stacked, and once per read outer axis for its Hessian
+(``geometry.stencil_gradient`` and ``stencil_hessian``). A stencilled
+input with a skipped axis is also evaluated once on the batch itself,
+which no central stencil reads, so a domain fault there still raises.
 The context keeps those partials once per batch and builds every other
 derivative from them by the product rule:
 

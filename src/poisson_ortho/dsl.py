@@ -600,17 +600,20 @@ def expr_field(dim: int, variance: str, entries) -> ExprTensorField:
     """Build a TensorField whose components are expressions (or source text).
 
     The field carries exact derivatives: partials differentiate each
-    component symbolically. Component shape must be (dim,)*len(variance).
+    component symbolically. Its ``reads`` are the variables of its entries.
+    Component shape must be (dim,)*len(variance).
     """
     exprs = _coerce_exprs(entries)
     expected = (dim,) * len(variance)
     if exprs.shape != expected:
         raise ValueError(f"component array has shape {exprs.shape}, want {expected}")
+    reads = set()
     for idx in np.ndindex(expected):
         used = variables_used(exprs[idx])
         if used and max(used) >= dim:
             raise ValueError(
                 f"component {idx} references x{max(used) + 1} beyond dimension {dim}")
+        reads |= used
 
     derivative_cache = {}
 
@@ -647,6 +650,7 @@ def expr_field(dim: int, variance: str, entries) -> ExprTensorField:
 
     fieldobj = ExprTensorField(dim, variance, evaluate_at, partial=partial_builder)
     fieldobj.exprs = exprs
+    fieldobj._reads = frozenset(reads)
     return fieldobj
 
 

@@ -126,10 +126,12 @@ class TensorField:
     exact-derivative hook: axis -> TensorField of the same variance holding
     the componentwise partial derivative. Fields built from parsed
     expressions or constant arrays provide it; generic numeric closures do
-    not and are differenced instead.
+    not and are differenced instead. ``reads`` is derived from the field:
+    the axes its components depend on, empty for a constant field and None
+    (unknown) for a numeric closure.
     """
 
-    __slots__ = ("dim", "variance", "_evaluate", "_partial", "_constant")
+    __slots__ = ("dim", "variance", "_evaluate", "_partial", "_constant", "_reads")
 
     def __init__(self, dim, variance, evaluate, partial=None, constant=None):
         if dim < 1:
@@ -141,6 +143,7 @@ class TensorField:
         self._evaluate = evaluate
         self._partial = partial
         self._constant = constant
+        self._reads = None if constant is None else frozenset()
 
     @classmethod
     def constant(cls, dim, variance, values) -> "TensorField":
@@ -175,6 +178,12 @@ class TensorField:
     @property
     def constant_components(self):
         return self._constant
+
+    @property
+    def reads(self) -> "frozenset | None":
+        """The axes the components depend on, or None when unknown. Every
+        partial along another axis is exactly zero."""
+        return self._reads
 
     @property
     def has_exact_derivative(self) -> bool:
@@ -230,33 +239,47 @@ def _combine(values, h, kind):
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
 
 
-def _shifted(p, first, deltas):
-    """Copies of the rows of p, (n, dim), with coordinate first + j moved by
+def _shifted(p, axes, deltas):
+    """Copies of the rows of p, (n, dim), with coordinate axes[j] moved by
     deltas[a, :, j] for each offset a: deltas (m, n, k) give a (k m n, dim)
     array, axis-major, then offset-major."""
     k = deltas.shape[-1]
     out = np.broadcast_to(p, (k, len(deltas)) + p.shape).copy()
-    axes = np.arange(k)
-    out[axes, :, :, first + axes] += deltas.transpose(2, 0, 1)
+    out[np.arange(k), :, :, axes] += deltas.transpose(2, 0, 1)
     return out.reshape(-1, p.shape[1])
+
+
+def _skips(field: TensorField, axis: int) -> bool:
+    """Whether the field's partial along axis is known to be exactly zero."""
+    return field.reads is not None and axis not in field.reads
+
+
+def _differenced_axes(field: TensorField) -> np.ndarray:
+    """The axes a stencil differences, ascending: those the field reads, or
+    every axis when its reads are unknown."""
+    return np.array([a for a in range(field.dim) if not _skips(field, a)], dtype=int)
 
 
 def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeScheme = DEFAULT_SCHEME):
     """Componentwise d/dx^axis of the field at each row of p, (n, dim).
 
-    Exact when the scheme allows it and the field carries a derivative hook;
-    otherwise a central stencil with each point's own step. One stencil is
-    one evaluation of the field: the shifted copies of the batch are stacked
-    into one (k n, dim) array, -2h, -h, +h, +2h for central-4 and +h, -h for
-    central-2. A check stencils only its input fields (a differenced scalar
-    goes through ``stencil_gradient`` and ``stencil_hessian``, with the same
-    offsets, steps and arithmetic); the context builds every composite
-    derivative from their partials as arrays. A non-finite stencil value
-    raises EvaluationError at the first offending shifted point in that
-    order.
+    Exactly zero, under every scheme, along an axis outside the field's
+    ``reads``: a broadcast view of zeros, as a constant field's components
+    are, and nothing is evaluated. Otherwise exact when the scheme allows it
+    and the field carries a derivative hook, and else a central stencil
+    with each point's own step. One stencil is one evaluation of the field:
+    the shifted copies of the batch are stacked into one (k n, dim) array,
+    -2h, -h, +h, +2h for central-4 and +h, -h for central-2. A check
+    stencils only its input fields (a differenced scalar goes through
+    ``stencil_gradient`` and ``stencil_hessian``, with the same offsets,
+    steps and arithmetic); the context builds every composite derivative
+    from their partials as arrays. A non-finite stencil value raises
+    EvaluationError at the first offending shifted point in that order.
     """
     if not (0 <= axis < field.dim):
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")
+    if _skips(field, axis):
+        return np.broadcast_to(np.zeros(field.shape), (len(p),) + field.shape)
     if is_exact(field, scheme):
         return field.partial_field(axis).components(p)
     return central_stencil(field.components, p, axis, scheme.step_for(p[:, axis]),
@@ -269,7 +292,7 @@ def central_stencil(evaluate, p, axis: int, h, kind: str) -> np.ndarray:
     (N, dim) array to values with a leading axis of length N, and is called
     once, on the stacked shifted copies of p in the order of the offsets."""
     deltas = _offsets(h, kind)
-    values = evaluate(_shifted(p, axis, deltas[..., None]))
+    values = evaluate(_shifted(p, [axis], deltas[..., None]))
     values = values.reshape((len(deltas), len(p)) + values.shape[1:])
     return _combine(values, h.reshape((-1,) + (1,) * (values.ndim - 2)), kind)
 
@@ -277,16 +300,26 @@ def central_stencil(evaluate, p, axis: int, h, kind: str) -> np.ndarray:
 def stencil_gradient(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndarray:
     """The stencilled gradient d_s c of a scalar field at each row of p, (n, dim).
 
-    Equal bit for bit to ``partial_derivative`` on every axis, in one
-    evaluation of the field over the dim stacked stencils, axis-major, so a
-    non-finite value raises EvaluationError at the point the per-axis
-    stencils would meet first; a non-finite gradient raises at its row of p.
+    Exactly zero along every axis outside the field's ``reads``, and equal
+    bit for bit to ``partial_derivative`` on the others, in one evaluation
+    of the field over their stacked stencils, axis-major, so a non-finite
+    value raises EvaluationError at the point the per-axis stencils would
+    meet first; a non-finite gradient raises at its row of p. A skipped
+    axis's stencil would have read the values at the rows of p themselves,
+    which no central stencil reads, so when an axis is skipped the rows of
+    p are stacked after the stencils: a domain fault there still raises.
     """
     n, dim = p.shape
-    h = scheme.step_for(p)
+    axes = _differenced_axes(scalar)
+    h = scheme.step_for(p[:, axes])
     deltas = _offsets(h, scheme.kind)
-    values = scalar.components(_shifted(p, 0, deltas)).reshape(dim, len(deltas), n)
-    out = _combine(values.transpose(1, 2, 0), h, scheme.kind)
+    batch = _shifted(p, axes, deltas)
+    if len(axes) < dim:
+        batch = np.concatenate((batch, p))
+    values = scalar.components(batch)[:len(axes) * len(deltas) * n]
+    out = np.zeros((n, dim))
+    out[:, axes] = _combine(values.reshape(len(axes), len(deltas), n).transpose(1, 2, 0),
+                            h, scheme.kind)
     _require_finite(out, p)
     return out
 
@@ -294,38 +327,51 @@ def stencil_gradient(scalar: TensorField, p, scheme: DerivativeScheme) -> np.nda
 def stencil_hessian(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndarray:
     """d_l d_s c of a scalar field at each row of p as [k, l, s].
 
-    Equal bit for bit to the stencil along l of ``stencil_gradient``, the
-    stencil of a stencil: the inner step on the diagonal is that of the
-    shifted coordinate, step_for(x_l + a h_l). The points of (l, s) and
-    (s, l) coincide, so each is evaluated once: one evaluation of the field
-    per outer axis l covers every inner axis s >= l, and its values are
-    combined in both orders. Non-finite values and gradients raise
+    Exactly zero on every pair (l, s) with an axis outside the field's
+    ``reads``; on the others equal bit for bit to the stencil along l of
+    ``stencil_gradient``, the stencil of a stencil: the inner step on the
+    diagonal is that of the shifted coordinate, step_for(x_l + a h_l). The
+    points of (l, s) and (s, l) coincide, so each is evaluated once: one
+    evaluation of the field per read outer axis l covers every read inner
+    axis s >= l, and its values are combined in both orders. The skipped
+    pairs would have read the values of ``stencil_gradient``'s points,
+    which it evaluates. Non-finite values and gradients raise
     EvaluationError at the point the nested stencils would meet first.
     """
     (n, dim), kind = p.shape, scheme.kind
     m = 2 if kind == CENTRAL_2 else 4
-    # grads[l, a, k, s]: d_s c at row k of p shifted by the a-th offset along l
-    grads = np.empty((dim, m, n, dim))
-    out = np.empty((n, dim, dim))
-    for l in range(dim):
+    axes = _differenced_axes(scalar)
+    r = len(axes)
+    # grads[i, a, k, j]: d_s c, s = axes[j], at row k of p shifted by the
+    # a-th offset along l = axes[i]
+    grads = np.empty((r, m, n, r))
+    out = np.zeros((n, dim, dim))
+    for i, l in enumerate(axes):
         h = scheme.step_for(p[:, l])
-        outer = _shifted(p, l, _offsets(h, kind)[..., None])
-        inner = dim - l
-        steps = scheme.step_for(outer[:, l:])
-        # values[j, b, a, k]: shifted by the b-th offset along s = l + j
-        values = scalar.components(_shifted(outer, l, _offsets(steps, kind)))
-        values = values.reshape(inner, m, m, n)
-        grads[l, :, :, l:] = _combine(values.transpose(1, 2, 3, 0),
-                                      steps.reshape(m, n, inner), kind)
-        grads[l + 1:, :, :, l] = _combine(values[1:].transpose(2, 1, 3, 0),
+        outer = _shifted(p, [l], _offsets(h, kind)[..., None])
+        inner = axes[i:]
+        steps = scheme.step_for(outer[:, inner])
+        # values[j, b, a, k]: shifted by the b-th offset along s = inner[j]
+        values = scalar.components(_shifted(outer, inner, _offsets(steps, kind)))
+        values = values.reshape(len(inner), m, m, n)
+        grads[i, :, :, i:] = _combine(values.transpose(1, 2, 3, 0),
+                                      steps.reshape(m, n, len(inner)), kind)
+        grads[i + 1:, :, :, i] = _combine(values[1:].transpose(2, 1, 3, 0),
                                           h[:, None], kind).transpose(2, 0, 1)
-        _require_finite(grads[l].reshape(m * n, dim), outer)
-        out[:, l] = _combine(grads[l], h[:, None], kind)
+        _require_finite(grads[i].reshape(m * n, r), outer)
+        out[:, l, axes] = _combine(grads[i], h[:, None], kind)
     return out
 
 
 def jacobian(field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
-    """All partials stacked: result[k, axis, ...] = d_axis components at point k."""
+    """All partials stacked: result[k, axis, ...] = d_axis components at point k.
+
+    A stencilled field that skips an axis is first evaluated once on the
+    rows of p, the values that axis's stencil would have read, so a domain
+    fault there still raises.
+    """
+    if not is_exact(field, scheme) and len(_differenced_axes(field)) < field.dim:
+        field.components(p)
     return np.stack([partial_derivative(field, p, a, scheme)
                      for a in range(field.dim)], axis=1)
 

@@ -1,15 +1,18 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from poisson_ortho import dsl
-from poisson_ortho.errors import EvaluationError
+from poisson_ortho.errors import EvaluationError, ExprDomainError
 from poisson_ortho.geometry import (
-    CENTRAL_2, CENTRAL_4, DerivativeScheme, Grid, Point, TensorField,
+    CENTRAL_2, CENTRAL_4, SCHEME_KINDS, DerivativeScheme, Grid, Point, TensorField,
     jacobian, lie_bracket, partial_derivative, stencil_gradient, stencil_hessian,
 )
+from test_dsl import _exprs
 
 
 def pt(*coords):
@@ -245,6 +248,32 @@ def nested_hessian(scalar, p, scheme):
     return jacobian(dsl.gradient_field(scalar, scheme), p, scheme)
 
 
+@contextlib.contextmanager
+def evaluations_of(field):
+    """The batch sizes of every evaluation of field inside the block."""
+    batches = []
+    components = TensorField.components
+
+    def counted(self, coords):
+        if self is field:
+            batches.append(len(coords))
+        return components(self, coords)
+
+    with mock.patch.object(TensorField, "components", counted):
+        yield batches
+
+
+def closure(field):
+    """The field as a numeric closure with its derivative hook: its reads
+    are unknown, so it is differentiated along every axis."""
+    return TensorField(field.dim, field.variance, field.components,
+                       partial=field.partial_field)
+
+
+def is_plus_zero(values):
+    return np.array_equal(values, np.zeros_like(values)) and not np.signbit(values).any()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.sampled_from(CASIMIR_ATOMS), min_size=1, max_size=2).map(" + ".join),
        st.sampled_from((CENTRAL_2, CENTRAL_4)),
@@ -256,24 +285,64 @@ def test_flat_casimir_stencils_are_bit_identical_to_per_axis_and_nested_ones(
     # step step_for(x_l + a h_l) differs from the outer one
     scheme = DerivativeScheme(kind=kind, step=step)
     scalar = dsl.scalar_field(source, 3)
+    reference = closure(scalar)
+    read = sorted(scalar.reads)
+    unread = [a for a in range(3) if a not in scalar.reads]
     p = np.array(coords)
-    batches = []
-
-    def evaluate(q):
-        batches.append(len(q))
-        return scalar.components(q)
-
-    counted = TensorField(3, "", evaluate)
-    per_axis = np.stack([partial_derivative(scalar, p, s, scheme) for s in range(3)], axis=1)
-    assert np.array_equal(stencil_gradient(counted, p, scheme), per_axis)
     m = 2 if kind == CENTRAL_2 else 4
-    assert batches == [3 * m * len(p)]
 
-    batches.clear()
-    assert np.array_equal(stencil_hessian(counted, p, scheme),
-                          nested_hessian(scalar, p, scheme))
-    # one evaluation per outer axis l, covering the inner axes s >= l
-    assert batches == [(3 - l) * m * m * len(p) for l in range(3)]
+    per_axis = np.stack([partial_derivative(reference, p, s, scheme) for s in range(3)], axis=1)
+    with evaluations_of(scalar) as batches:
+        gradient = stencil_gradient(scalar, p, scheme)
+    assert np.array_equal(gradient[:, read], per_axis[:, read])
+    assert is_plus_zero(gradient[:, unread])
+    # one evaluation: the read axes' stencils, then the rows of p if any is skipped
+    assert batches == [(len(read) * m + (1 if unread else 0)) * len(p)]
+
+    with evaluations_of(scalar) as batches:
+        hessian = stencil_hessian(scalar, p, scheme)
+    assert np.array_equal(hessian[:, read][:, :, read],
+                          nested_hessian(reference, p, scheme)[:, read][:, :, read])
+    assert is_plus_zero(hessian[:, unread]) and is_plus_zero(hessian[:, :, unread])
+    # one evaluation per read outer axis l, covering the read inner axes s >= l
+    assert batches == [(len(read) - i) * m * m * len(p) for i in range(len(read))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_exprs(max_axis=3), min_size=4, max_size=4),
+       st.sampled_from(SCHEME_KINDS),
+       st.lists(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+                min_size=1, max_size=3))
+def test_unread_axes_give_exact_zeros_and_read_axes_the_full_derivatives(entries, kind, coords):
+    # four entries on a 4-d chart that reference x1..x3 only: x4 and any
+    # axis no entry references are unread; the reference is the same field
+    # with its reads unknown, so it is differentiated along every axis
+    scheme = DerivativeScheme(kind=kind)
+    vector, scalar = vec(4, entries), dsl.scalar_field(entries[0], 4)
+    p = np.array(coords)
+    with np.errstate(all="ignore"):
+        try:
+            want = ([partial_derivative(closure(vector), p, a, scheme) for a in range(4)],
+                    stencil_gradient(closure(scalar), p, scheme),
+                    stencil_hessian(closure(scalar), p, scheme))
+        except (EvaluationError, ExprDomainError):
+            assume(False)
+        got = ([partial_derivative(vector, p, a, scheme) for a in range(4)],
+               stencil_gradient(scalar, p, scheme),
+               stencil_hessian(scalar, p, scheme))
+    # the axes some entry references, as the test reads them
+    vector_reads = set().union(*map(dsl.variables_used, entries))
+    for a in range(4):
+        if a in vector_reads:
+            assert np.array_equal(got[0][a], want[0][a])
+        else:
+            assert is_plus_zero(got[0][a])
+    read = sorted(dsl.variables_used(entries[0]))
+    unread = [a for a in range(4) if a not in read]
+    assert np.array_equal(got[1][:, read], want[1][:, read])
+    assert is_plus_zero(got[1][:, unread])
+    assert np.array_equal(got[2][:, read][:, :, read], want[2][:, read][:, :, read])
+    assert is_plus_zero(got[2][:, unread]) and is_plus_zero(got[2][:, :, unread])
 
 
 def _outcome(compute):

@@ -405,7 +405,7 @@ def test_central_check_stencils_each_casimir_gradient_once(monkeypatch):
     # the scaled coframe and its partials come from the Casimir gradients,
     # their Hessians and the scales by the product rule, so no one-form is
     # stencilled; on the grid each Casimir is evaluated once for its
-    # gradient and once per outer axis for its Hessian
+    # gradient and once per outer axis it reads for its Hessian
     config = load_scenario("se3")
     config = replace(config,
                      grid=Grid(config.grid.center, config.grid.half_width, 2),
@@ -435,8 +435,25 @@ def test_central_check_stencils_each_casimir_gradient_once(monkeypatch):
 
     assert run(config).exit_code == 0
     assert config.structure.coframe_scales is not None
-    assert evaluations == [1 + config.dim] * config.structure.codim
+    # x4^2 + x5^2 + x6^2 reads three of the six axes
+    assert evaluations == [1 + len(c.reads) for c in casimirs] == [7, 4]
     assert stencilled and "l" not in stencilled
+
+
+@pytest.mark.parametrize("scheme", ["symbolic", "central-2", "central-4"])
+def test_cli_casimir_pole_on_the_grid_rows_is_a_domain_error(tmp_path, capsys, scheme):
+    # the second Casimir reads only x2 and has a pole on the grid rows with
+    # x2 = 0.5, which no central stencil reads; its stencils along x1, x3
+    # and x4 would read the rows' values but are skipped, so the rows are
+    # evaluated on their own
+    doc = chart_config(
+        casimirs=["x1", "x2 + 1/(x2 - 0.5)"],
+        metric={"kind": "matrix", "entries": [
+            ["1" if i == j else "0" for j in range(4)] for i in range(4)]},
+        grid={"center": [0.0, 0.5, 0.0, 0.0], "half_width": 0.5, "points_per_axis": 3})
+    assert main(["check", write_config(tmp_path, doc), "--scheme", scheme]) == 2
+    assert capsys.readouterr().err.startswith(
+        "invalid run: ExprDomainError: division by zero")
 
 
 def test_thread_count_env(monkeypatch):
