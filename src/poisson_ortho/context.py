@@ -1,13 +1,13 @@
-"""Shared per-chart evaluation context with batch memoization.
+"""Shared evaluation context of one batch of chart points, with memoization.
 
 The integrability conditions all consume the same handful of objects
 (bivector, metric and its inverse, connection coefficients, the
 orthogonal coframe/frame and their derivatives, projectors). They are
 evaluated over a whole batch of points at once, an (n, dim) coordinate
-array. The context is the single owner of every value of a batch: it
-builds g, g^-1, the partials of g, the frame and the projectors once per
-batch, keyed by the batch's coordinates, and the metric functions take
-them as arrays.
+array. A context is bound to one batch, its ``points``, and is the single
+owner of every value there: it builds g, g^-1, the partials of g, the
+frame and the projectors once, memoized by name, and the metric functions
+take them as arrays. Values at other points need another context.
 
 The derivative scheme decides one thing only: how the partials of the
 input fields are obtained, that is of g, P, each Casimir gradient and each
@@ -23,8 +23,8 @@ read axes stacked, and once per read outer axis for its Hessian
 (``geometry.stencil_gradient`` and ``stencil_hessian``). A stencilled
 input with a skipped axis is also evaluated once on the batch itself,
 which no central stencil reads, so a domain fault there still raises.
-The context keeps those partials once per batch and builds every other
-derivative from them by the product rule:
+The context keeps those partials and builds every other derivative from
+them by the product rule:
 
 * the coframe omega^i = s_i dc^i and its partials
   d(s_i dc^i) = ds_i (x) dc^i + s_i d(dc^i), from the Casimir gradients and
@@ -38,17 +38,18 @@ derivative from them by the product rule:
 * the frame brackets [A xi_i, B xi_j] with A, B in {1, h, v}, from the
   values and jets of their two arguments by ``geometry.lie_bracket``.
 
-Every composite derivative is thus an array cached once per batch.
+Every composite derivative is thus an array built once per context.
 
 The jets read only g, g^-1, dg, the coframe, the frame and their
 partials, never the Christoffel symbols or nabla omega, so the
 coframe-derivative route stays independent of the bracket routes. The
 projected frames go through dh even though h xi = xi, so an error in the
 projector still shows up as a disagreement between the conditions. A
-check therefore evaluates one batch, the grid, under every scheme. The
-projectors are built from the orthogonal frame, which varies smoothly
-with the point; a column-pivoted leaf basis of P gives the same operator,
-but its pivot choice can jump between neighbouring points.
+check therefore builds one context, over the grid, under every scheme,
+and one more per integral surface it verifies. The projectors are built
+from the orthogonal frame, which varies smoothly with the point; a
+column-pivoted leaf basis of P gives the same operator, but its pivot
+choice can jump between neighbouring points.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ import numpy as np
 
 from . import dsl
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, is_exact, jacobian, lie_bracket, matvec,
-    stencil_gradient, stencil_hessian,
+    DEFAULT_SCHEME, DerivativeScheme, Points, is_exact, jacobian, lie_bracket,
+    matvec, stencil_gradient, stencil_hessian,
 )
 from .metric import (
     Christoffel, MetricField, christoffel, covariant_derivative_bivector,
@@ -80,243 +81,238 @@ def _casimir_derivatives(casimir, scheme):
 
 
 class ChartContext:
-    """Bundles a Poisson structure and metric over one chart.
+    """Bundles a Poisson structure and metric over one batch of chart points.
 
-    The input one-forms are the Casimir gradients dc^i, and ``scales`` the
-    scalar fields s_i of the coframe omega^i = s_i dc^i
-    (None when the structure has no coframe scales, and then
-    omega^i = dc^i). The coframe is no field of its own: its values and
-    partials are built from those of the gradients and scales by the
-    product rule, so each Casimir is differentiated once per batch.
-    Values should be read through the ``*_at`` accessors, which
-    memoize per batch. Each accessor takes an (n, dim) coordinate array and
-    gives arrays with a leading point axis.
+    ``points`` is the batch (a ``geometry.Points``, or an (n, dim) array
+    that becomes one) and ``q`` its coordinates. The input one-forms are
+    the Casimir gradients dc^i, and ``scales`` the scalar fields s_i of the
+    coframe omega^i = s_i dc^i (None when the structure has no coframe
+    scales, and then omega^i = dc^i). The coframe is no field of its own:
+    its values and partials are built from those of the gradients and
+    scales by the product rule, so each Casimir is differentiated once.
+    Values should be read through the accessors, which take no coordinates,
+    memoize each value on first use and give arrays with a leading point
+    axis.
     """
 
-    def __init__(self, structure: PoissonStructure, metric: MetricField,
+    def __init__(self, structure: PoissonStructure, metric: MetricField, points,
                  scheme: DerivativeScheme = DEFAULT_SCHEME):
         if structure.dim != metric.dim:
             raise ValueError(
                 f"bivector dimension {structure.dim} != metric dimension {metric.dim}")
         self.structure = structure
         self.metric = metric
+        self.points = points if isinstance(points, Points) else Points(points)
+        self.q = self.points.coords
         self.scheme = scheme
         self.dim = structure.dim
         self.codim = structure.codim
-        self._batches: dict = {}
+        self._values: dict = {}
         self._casimirs = [_casimir_derivatives(c, scheme) for c in structure.casimirs]
         self.scales = (None if structure.coframe_scales is None
                        else [_scale_field(s, self.dim) for s in structure.coframe_scales])
 
-    def _cached(self, tag, q, build):
-        values = self._batches.setdefault(q.tobytes(), {})
-        value = values.get(tag)
+    def _cached(self, tag, build):
+        value = self._values.get(tag)
         if value is None:
-            value = values[tag] = build(q)
+            value = self._values[tag] = build()
         return value
 
     # -- inputs and their partials: the only derivatives a scheme takes --
 
-    def bivector_at(self, p) -> np.ndarray:
-        return self._cached("P", p, self.structure.bivector.components)
+    def bivector_at(self) -> np.ndarray:
+        return self._cached("P", lambda: self.structure.bivector.components(self.q))
 
-    def bivector_jacobian_at(self, p) -> np.ndarray:
+    def bivector_jacobian_at(self) -> np.ndarray:
         """d_l P^{ts} as [..., l, t, s]; column c's partials are [..., c]."""
         return self._cached(
-            "dP", p, lambda q: jacobian(self.structure.bivector, q, self.scheme))
+            "dP", lambda: jacobian(self.structure.bivector, self.q, self.scheme))
 
-    def metric_at(self, p) -> np.ndarray:
-        return self._cached("g", p, self.metric.components)
+    def metric_at(self) -> np.ndarray:
+        return self._cached("g", lambda: self.metric.components(self.q))
 
-    def metric_inv_at(self, p) -> np.ndarray:
-        return self._cached("ginv", p, lambda q: inverse_metric(self.metric, q))
+    def metric_inv_at(self) -> np.ndarray:
+        return self._cached("ginv", lambda: inverse_metric(self.metric, self.q))
 
-    def metric_jacobian_at(self, p) -> np.ndarray:
+    def metric_jacobian_at(self) -> np.ndarray:
         """d_l g_{ab} as [..., l, a, b]."""
         return self._cached(
-            "dg", p, lambda q: jacobian(self.metric.field, q, self.scheme))
+            "dg", lambda: jacobian(self.metric.field, self.q, self.scheme))
 
-    def gradient_at(self, p) -> np.ndarray:
+    def gradient_at(self) -> np.ndarray:
         """Casimir gradient rows dc^i, (..., codim, dim): the coframe
         without its scales."""
         return self._cached(
-            "gradient", p,
-            lambda q: np.stack([gradient(q) for gradient, _ in self._casimirs], axis=1))
+            "gradient",
+            lambda: np.stack([gradient(self.q) for gradient, _ in self._casimirs], axis=1))
 
-    def gradient_jacobian_at(self, p) -> np.ndarray:
+    def gradient_jacobian_at(self) -> np.ndarray:
         """Casimir Hessians d_l (dc^i)_s as [..., l, i, s]."""
         return self._cached(
-            "dgradient", p,
-            lambda q: np.stack([hessian(q) for _, hessian in self._casimirs], axis=2))
+            "dgradient",
+            lambda: np.stack([hessian(self.q) for _, hessian in self._casimirs], axis=2))
 
-    def _scale_at(self, q) -> np.ndarray:
+    def _scale_at(self) -> np.ndarray:
         """Coframe scales s_i as (..., codim)."""
         return self._cached(
-            "scale", q, lambda q: np.stack([s.components(q) for s in self.scales], axis=1))
+            "scale", lambda: np.stack([s.components(self.q) for s in self.scales], axis=1))
 
-    def _scale_jacobian_at(self, q) -> np.ndarray:
+    def _scale_jacobian_at(self) -> np.ndarray:
         """d_l s_i as [..., l, i]."""
         return self._cached(
-            "dscale", q,
-            lambda q: np.stack([jacobian(s, q, self.scheme) for s in self.scales], axis=2))
+            "dscale",
+            lambda: np.stack([jacobian(s, self.q, self.scheme) for s in self.scales], axis=2))
 
-    def coframe_at(self, p) -> np.ndarray:
+    def coframe_at(self) -> np.ndarray:
         """Coframe rows omega^i = s_i dc^i, shape (..., codim, dim)."""
         if self.scales is None:
-            return self.gradient_at(p)
+            return self.gradient_at()
         return self._cached(
-            "coframe", p, lambda q: self._scale_at(q)[..., None] * self.gradient_at(q))
+            "coframe", lambda: self._scale_at()[..., None] * self.gradient_at())
 
-    def coframe_jacobian_at(self, p) -> np.ndarray:
+    def coframe_jacobian_at(self) -> np.ndarray:
         """d_l omega^i_s as [..., l, i, s]: ds_i (x) dc^i + s_i d(dc^i)."""
         if self.scales is None:
-            return self.gradient_jacobian_at(p)
+            return self.gradient_jacobian_at()
         return self._cached(
-            "dcoframe", p,
-            lambda q: (self._scale_jacobian_at(q)[..., None] * self.gradient_at(q)[:, None]
-                       + self._scale_at(q)[:, None, :, None] * self.gradient_jacobian_at(q)))
+            "dcoframe",
+            lambda: (self._scale_jacobian_at()[..., None] * self.gradient_at()[:, None]
+                     + self._scale_at()[:, None, :, None] * self.gradient_jacobian_at()))
 
-    def christoffel_at(self, p) -> Christoffel:
+    def christoffel_at(self) -> Christoffel:
         return self._cached(
-            "gamma", p,
-            lambda q: christoffel(self.metric_inv_at(q), self.metric_jacobian_at(q)))
+            "gamma", lambda: christoffel(self.metric_inv_at(), self.metric_jacobian_at()))
 
     # -- frame ----------------------------------------------------------
 
-    def frame_at(self, p) -> np.ndarray:
+    def frame_at(self) -> np.ndarray:
         """Frame vectors as columns, shape (..., dim, codim): raised coframe rows."""
         return self._cached(
-            "frame", p,
-            lambda q: self.metric_inv_at(q) @ self.coframe_at(q).swapaxes(1, 2))
+            "frame", lambda: self.metric_inv_at() @ self.coframe_at().swapaxes(1, 2))
 
-    def gram_at(self, p) -> np.ndarray:
-        return self._cached(
-            "gram", p, lambda q: self.coframe_at(q) @ self.frame_at(q))
+    def gram_at(self) -> np.ndarray:
+        return self._cached("gram", lambda: self.coframe_at() @ self.frame_at())
 
-    def gram_inv_at(self, p) -> np.ndarray:
-        def build(q):
-            gram = self.gram_at(q)
-            check_gram_nondegenerate(gram, q)
+    def gram_inv_at(self) -> np.ndarray:
+        def build():
+            gram = self.gram_at()
+            check_gram_nondegenerate(gram, self.q)
             return np.linalg.inv(gram)
-        return self._cached("gram_inv", p, build)
+        return self._cached("gram_inv", build)
 
-    def _raised_jet(self, dw, raised, q) -> np.ndarray:
+    def _raised_jet(self, dw, raised) -> np.ndarray:
         """d_l (g^-1 w) = g^-1 (d_l w - (d_l g) g^-1 w) for covectors w
         stacked as columns: dw [..., l, s, i] and raised = g^-1 w [..., m, i]
         give [..., l, m, i]."""
-        return self.metric_inv_at(q)[:, None] @ (
-            dw - self.metric_jacobian_at(q) @ raised[:, None])
+        return self.metric_inv_at()[:, None] @ (
+            dw - self.metric_jacobian_at() @ raised[:, None])
 
-    def _frame_jet(self, q) -> np.ndarray:
+    def _frame_jet(self) -> np.ndarray:
         """d_l xi_i^m as [..., l, m, i] from the partials of g and omega."""
         return self._cached(
-            "frame_jet", q,
-            lambda q: self._raised_jet(self.coframe_jacobian_at(q).swapaxes(-1, -2),
-                                       self.frame_at(q), q))
+            "frame_jet",
+            lambda: self._raised_jet(self.coframe_jacobian_at().swapaxes(-1, -2),
+                                     self.frame_at()))
 
-    def frame_jacobian(self, i: int, p) -> np.ndarray:
+    def frame_jacobian(self, i: int) -> np.ndarray:
         """d_l xi_i^mu as [..., l, mu]."""
-        return self._frame_jet(p)[..., i]
+        return self._frame_jet()[..., i]
 
-    def nabla_coframe(self, i: int, p) -> np.ndarray:
+    def nabla_coframe(self, i: int) -> np.ndarray:
         """(nabla_l omega^i)_s as [..., l, s]."""
         return self._cached(
-            ("nabla_omega", i), p,
-            lambda q: covariant_derivative_oneform(
-                self.coframe_at(q)[:, i], self.coframe_jacobian_at(q)[:, :, i],
-                self.christoffel_at(q)))
+            ("nabla_omega", i),
+            lambda: covariant_derivative_oneform(
+                self.coframe_at()[:, i], self.coframe_jacobian_at()[:, :, i],
+                self.christoffel_at()))
 
-    def nabla_bivector(self, p) -> np.ndarray:
+    def nabla_bivector(self) -> np.ndarray:
         """(nabla_l P)^{ts} as [..., l, t, s]."""
         return self._cached(
-            "nabla_P", p,
-            lambda q: covariant_derivative_bivector(
-                self.bivector_at(q), self.bivector_jacobian_at(q),
-                self.christoffel_at(q)))
+            "nabla_P",
+            lambda: covariant_derivative_bivector(
+                self.bivector_at(), self.bivector_jacobian_at(), self.christoffel_at()))
 
     # -- projectors -----------------------------------------------------
 
-    def projector_h(self, p) -> np.ndarray:
+    def projector_h(self) -> np.ndarray:
         """g-orthogonal projector onto the orthogonal distribution."""
         return self._cached(
-            "h", p,
-            lambda q: self.frame_at(q) @ self.gram_inv_at(q) @ self.coframe_at(q))
+            "h", lambda: self.frame_at() @ self.gram_inv_at() @ self.coframe_at())
 
-    def projector_v(self, p) -> np.ndarray:
+    def projector_v(self) -> np.ndarray:
         """g-orthogonal projector onto the leaf tangent (complement of h)."""
-        return self._cached(
-            "v", p, lambda q: np.eye(self.dim) - self.projector_h(q))
+        return self._cached("v", lambda: np.eye(self.dim) - self.projector_h())
 
-    def _projector_jet(self, q) -> np.ndarray:
+    def _projector_jet(self) -> np.ndarray:
         """d_l h as [..., l, m, n] by the product rule on h = Xi G^-1 Omega:
         dG = (d Omega) Xi + Omega d Xi and d(G^-1) = -G^-1 (dG) G^-1."""
-        def build(q):
-            coframe = self.coframe_at(q)[:, None]
-            frame = self.frame_at(q)[:, None]
-            gram_inv = self.gram_inv_at(q)[:, None]
-            dcoframe = self.coframe_jacobian_at(q)
-            dframe = self._frame_jet(q)
+        def build():
+            coframe = self.coframe_at()[:, None]
+            frame = self.frame_at()[:, None]
+            gram_inv = self.gram_inv_at()[:, None]
+            dcoframe = self.coframe_jacobian_at()
+            dframe = self._frame_jet()
             dgram_inv = -gram_inv @ (dcoframe @ frame + coframe @ dframe) @ gram_inv
             return (dframe @ gram_inv @ coframe + frame @ dgram_inv @ coframe
                     + frame @ gram_inv @ dcoframe)
-        return self._cached("dh", q, build)
+        return self._cached("dh", build)
 
-    def _projected_frame_jet(self, which: str, q) -> np.ndarray:
+    def _projected_frame_jet(self, which: str) -> np.ndarray:
         """d_l (A xi_i)^m as [..., l, m, i] for A = h or v:
         d(h xi) = (dh) xi + h d xi and d(v xi) = d xi - d(h xi)."""
-        def build(q):
-            dframe = self._frame_jet(q)
-            dh_frame = (self._projector_jet(q) @ self.frame_at(q)[:, None]
-                        + self.projector_h(q)[:, None] @ dframe)
+        def build():
+            dframe = self._frame_jet()
+            dh_frame = (self._projector_jet() @ self.frame_at()[:, None]
+                        + self.projector_h()[:, None] @ dframe)
             return dh_frame if which == "h" else dframe - dh_frame
-        return self._cached(("projected_frame_jet", which), q, build)
+        return self._cached(("projected_frame_jet", which), build)
 
     # -- frame brackets -------------------------------------------------
 
-    def _frame_variant(self, i: int, mode: str, q):
+    def _frame_variant(self, i: int, mode: str):
         """(A xi_i, d(A xi_i)) for A = identity, h or v by mode: the values
         (..., m) and the jet [..., l, m] a bracket consumes."""
         if mode == "plain":
-            return self.frame_at(q)[..., i], self._frame_jet(q)[..., i]
+            return self.frame_at()[..., i], self._frame_jet()[..., i]
         matrix_at = {"h": self.projector_h, "v": self.projector_v}[mode]
-        return (matvec(matrix_at(q), self.frame_at(q)[..., i]),
-                self._projected_frame_jet(mode, q)[..., i])
+        return (matvec(matrix_at(), self.frame_at()[..., i]),
+                self._projected_frame_jet(mode)[..., i])
 
-    def frame_bracket(self, i: int, j: int, mode_i: str, mode_j: str, p) -> np.ndarray:
-        """[A xi_i, B xi_j] at each row of p with A, B in {identity, h, v} by
+    def frame_bracket(self, i: int, j: int, mode_i: str, mode_j: str) -> np.ndarray:
+        """[A xi_i, B xi_j] at each point with A, B in {identity, h, v} by
         mode, from the values and jets of both arguments."""
         return self._cached(
-            ("bracket", i, j, mode_i, mode_j), p,
-            lambda q: lie_bracket(*self._frame_variant(i, mode_i, q),
-                                  *self._frame_variant(j, mode_j, q)))
+            ("bracket", i, j, mode_i, mode_j),
+            lambda: lie_bracket(*self._frame_variant(i, mode_i),
+                                *self._frame_variant(j, mode_j)))
 
     # -- second-order scalars on casimirs and frame ---------------------
 
-    def casimir_sharp_at(self, p) -> np.ndarray:
+    def casimir_sharp_at(self) -> np.ndarray:
         """Raised Casimir gradients g^-1 dc^i as columns, (..., dim, codim)."""
         return self._cached(
-            "casimir_sharp", p,
-            lambda q: self.metric_inv_at(q) @ self.gradient_at(q).swapaxes(1, 2))
+            "casimir_sharp", lambda: self.metric_inv_at() @ self.gradient_at().swapaxes(1, 2))
 
-    def casimir_sharp_jacobian_at(self, p) -> np.ndarray:
+    def casimir_sharp_jacobian_at(self) -> np.ndarray:
         """d_l (g^-1 dc^i)^m as [..., l, m, i]."""
         return self._cached(
-            "casimir_sharp_jet", p,
-            lambda q: self._raised_jet(self.gradient_jacobian_at(q).swapaxes(-1, -2),
-                                       self.casimir_sharp_at(q), q))
+            "casimir_sharp_jet",
+            lambda: self._raised_jet(self.gradient_jacobian_at().swapaxes(-1, -2),
+                                     self.casimir_sharp_at()))
 
-    def casimir_laplacian(self, idx: int, p):
+    def casimir_laplacian(self, idx: int):
         return self._cached(
-            ("laplacian", idx), p,
-            lambda q: laplacian(self.metric_at(q), self.metric_inv_at(q),
-                                self.casimir_sharp_at(q)[..., idx],
-                                self.casimir_sharp_jacobian_at(q)[..., idx],
-                                self.christoffel_at(q)))
+            ("laplacian", idx),
+            lambda: laplacian(self.metric_at(), self.metric_inv_at(),
+                              self.casimir_sharp_at()[..., idx],
+                              self.casimir_sharp_jacobian_at()[..., idx],
+                              self.christoffel_at()))
 
-    def frame_metric_lie_derivative(self, i: int, p) -> np.ndarray:
-        """(L_{xi_i} g)_{sl} at each row of p."""
+    def frame_metric_lie_derivative(self, i: int) -> np.ndarray:
+        """(L_{xi_i} g)_{sl} at each point."""
         return self._cached(
-            ("frame_lie_g", i), p,
-            lambda q: lie_derivative_metric(
-                self.metric_at(q), self.frame_at(q)[..., i],
-                self.frame_jacobian(i, q), self.christoffel_at(q)))
+            ("frame_lie_g", i),
+            lambda: lie_derivative_metric(
+                self.metric_at(), self.frame_at()[..., i],
+                self.frame_jacobian(i), self.christoffel_at()))

@@ -53,7 +53,8 @@ class Point:
 
 
 class Points:
-    """An immutable batch of chart points: coordinates of shape (n, dim).
+    """An immutable, non-empty batch of chart points: coordinates of shape
+    (n, dim) with n >= 1.
 
     Iterating or indexing yields ``Point`` objects, so a batch reads like
     the list of its points.
@@ -65,6 +66,9 @@ class Points:
         arr = np.array(coords, dtype=float)
         if arr.ndim != 2 or arr.shape[1] == 0:
             raise ValueError("a point batch is an (n, dim) coordinate array")
+        if len(arr) == 0:
+            raise ValueError(f"empty point batch of shape {arr.shape}: "
+                             f"a batch holds at least one point")
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
 
@@ -79,8 +83,9 @@ class Points:
 
 
 def pointwise_max_abs(values: np.ndarray) -> np.ndarray:
-    """Max |value| at each point of a batch array, over all but the point axis."""
-    return np.max(np.abs(values).reshape(len(values), -1), axis=1, initial=0.0)
+    """Max |value| at each point of a batch array, over all but the point
+    axis; a batch of no points gives no maxima."""
+    return np.max(np.abs(values), axis=tuple(range(1, values.ndim)), initial=0.0)
 
 
 def matvec(matrix, vector):
@@ -109,6 +114,10 @@ class DerivativeScheme:
             raise ValueError(f"unknown derivative scheme kind: {self.kind!r}")
         if not (0.0 < self.step < 1.0):
             raise ValueError("derivative step must lie in (0, 1)")
+        if 1.0 + self.step == 1.0:
+            raise ValueError(
+                f"derivative step {self.step!r} is below the resolution of the "
+                f"coordinates: 1 + step rounds to 1")
 
     def step_for(self, coordinate):
         """Stencil step at a coordinate value, or elementwise over an array."""
@@ -210,7 +219,7 @@ class TensorField:
 def _require_finite(values, coords) -> None:
     """Raise EvaluationError at the first row of coords whose values are not
     all finite; values has one leading entry per row."""
-    finite = np.isfinite(values).reshape(len(coords), -1).all(axis=1)
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
     if not finite.all():
         bad = Point(coords[int(np.argmin(finite))])
         raise EvaluationError(f"non-finite field value at {bad!r}", point=bad)

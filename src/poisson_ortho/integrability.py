@@ -26,9 +26,9 @@ run; any disagreement marks the run invalid (it can only come from
 numerics, not from the geometry).
 
 Every condition is evaluated once over the whole grid: the value
-functions take an (n, dim) coordinate array and give one residual per
-point. They stay module functions that ``verdict`` calls by name, not
-entries of the table.
+functions take the check's ``ChartContext``, bound to the grid's points,
+and give one residual per point. They stay module functions that
+``verdict`` calls by name, not entries of the table.
 """
 
 from __future__ import annotations
@@ -39,15 +39,8 @@ import numpy as np
 
 from .context import ChartContext
 from .errors import GeometryError
-from .geometry import (
-    DEFAULT_SCHEME, SYMBOLIC, DerivativeScheme, Grid, Point, matvec,
-    pointwise_max_abs,
-)
-from .metric import MetricField
-from .poisson import (
-    PoissonStructure, canonical_bivector, check_gram_nondegenerate,
-    independent_column_mask,
-)
+from .geometry import SYMBOLIC, DerivativeScheme, matvec, pointwise_max_abs
+from .poisson import canonical_bivector, check_gram_nondegenerate, independent_column_mask
 from .reports import ConditionReport
 
 DEFAULT_TOL_SYMBOLIC = 1e-6
@@ -107,13 +100,13 @@ class _Maxima(dict):
 # ---------------------------------------------------------------------------
 # the six equivalent conditions, evaluated on the frame
 
-def _frame_torsion(ctx: ChartContext, i: int, j: int, q) -> np.ndarray:
+def _frame_torsion(ctx: ChartContext, i: int, j: int) -> np.ndarray:
     """Nijenhuis torsion of the leaf projector on (xi_i, xi_j)."""
-    v = ctx.projector_v(q)
-    t1 = ctx.frame_bracket(i, j, "v", "v", q)
-    t2 = matvec(v, ctx.frame_bracket(i, j, "v", "plain", q))
-    t3 = matvec(v, ctx.frame_bracket(i, j, "plain", "v", q))
-    t4 = matvec(v, matvec(v, ctx.frame_bracket(i, j, "plain", "plain", q)))
+    v = ctx.projector_v()
+    t1 = ctx.frame_bracket(i, j, "v", "v")
+    t2 = matvec(v, ctx.frame_bracket(i, j, "v", "plain"))
+    t3 = matvec(v, ctx.frame_bracket(i, j, "plain", "v"))
+    t4 = matvec(v, matvec(v, ctx.frame_bracket(i, j, "plain", "plain")))
     return t1 - t2 - t3 + t4
 
 
@@ -121,23 +114,23 @@ def _vecmat(vector, matrix):
     return np.einsum("...l,...lm->...m", vector, matrix)
 
 
-def equivalence_condition_values(ctx: ChartContext, q) -> dict:
-    """Max-abs residual of each of the six conditions at each row of q."""
-    P = ctx.bivector_at(q)
-    g = ctx.metric_at(q)
-    ginv = ctx.metric_inv_at(q)
-    frame = ctx.frame_at(q)
-    coframe = ctx.coframe_at(q)
-    g2 = ctx.christoffel_at(q).second_kind
-    nabla_P = ctx.nabla_bivector(q)
+def equivalence_condition_values(ctx: ChartContext) -> dict:
+    """Max-abs residual of each of the six conditions at each point of ctx."""
+    P = ctx.bivector_at()
+    g = ctx.metric_at()
+    ginv = ctx.metric_inv_at()
+    frame = ctx.frame_at()
+    coframe = ctx.coframe_at()
+    g2 = ctx.christoffel_at().second_kind
+    nabla_P = ctx.nabla_bivector()
     d = ctx.codim
-    nabla_w = [ctx.nabla_coframe(i, q) for i in range(d)]
-    jacs = [ctx.frame_jacobian(i, q) for i in range(d)]
+    nabla_w = [ctx.nabla_coframe(i) for i in range(d)]
+    jacs = [ctx.frame_jacobian(i) for i in range(d)]
     # nabla_l xi_i^s, including the connection term
     cov_frame = [jacs[i] + np.einsum("...slm,...m->...ls", g2, frame[..., i])
                  for i in range(d)]
 
-    vals = _Maxima(EQUIVALENCE_IDS, len(q))
+    vals = _Maxima(EQUIVALENCE_IDS, len(ctx.q))
     for i, j in _pairs(d):
         xi_i, xi_j = frame[..., i], frame[..., j]
         w_i, w_j = coframe[:, i], coframe[:, j]
@@ -157,29 +150,29 @@ def equivalence_condition_values(ctx: ChartContext, q) -> dict:
         vals.record("coframe-bracket-closure", matvec(P, matvec(g, bracket)))
 
         vals.record("frobenius-curvature", matvec(
-            ctx.projector_v(q), ctx.frame_bracket(i, j, "h", "h", q)))
+            ctx.projector_v(), ctx.frame_bracket(i, j, "h", "h")))
 
-        vals.record("nijenhuis-torsion", _frame_torsion(ctx, i, j, q))
+        vals.record("nijenhuis-torsion", _frame_torsion(ctx, i, j))
     return vals
 
 
 # ---------------------------------------------------------------------------
 # sufficient-only conditions
 
-def sufficient_condition_values(ctx: ChartContext, q) -> dict:
-    """Raw residuals of the three sufficient conditions at each row of q.
+def sufficient_condition_values(ctx: ChartContext) -> dict:
+    """Raw residuals of the three sufficient conditions at each point of ctx.
 
     Returns condition id -> residual, plus the premise residual for the
     parallel-coframe condition under the key "parallel-coframe-premise".
     """
-    P = ctx.bivector_at(q)
-    coframe = ctx.coframe_at(q)
-    frame = ctx.frame_at(q)
-    dP = ctx.bivector_jacobian_at(q)
-    g2 = ctx.christoffel_at(q).second_kind
-    nabla_P = ctx.nabla_bivector(q)
+    P = ctx.bivector_at()
+    coframe = ctx.coframe_at()
+    frame = ctx.frame_at()
+    dP = ctx.bivector_jacobian_at()
+    g2 = ctx.christoffel_at().second_kind
+    nabla_P = ctx.nabla_bivector()
     d = ctx.codim
-    vals = _Maxima(SUFFICIENT_IDS + ("parallel-coframe-premise",), len(q))
+    vals = _Maxima(SUFFICIENT_IDS + ("parallel-coframe-premise",), len(ctx.q))
 
     # parallel bivector: (nabla_{xi_i} P) omega^j over all ordered pairs
     for i in range(d):
@@ -202,10 +195,10 @@ def sufficient_condition_values(ctx: ChartContext, q) -> dict:
 
     # parallel coframe: premise nabla omega = 0; conclusions Killing + harmonic
     for i in range(d):
-        vals.record("parallel-coframe-premise", ctx.nabla_coframe(i, q))
-        vals.record("parallel-coframe", ctx.frame_metric_lie_derivative(i, q))
+        vals.record("parallel-coframe-premise", ctx.nabla_coframe(i))
+        vals.record("parallel-coframe", ctx.frame_metric_lie_derivative(i))
     for idx in range(len(ctx.structure.casimirs)):
-        vals.record("parallel-coframe", ctx.casimir_laplacian(idx, q))
+        vals.record("parallel-coframe", ctx.casimir_laplacian(idx))
     return vals
 
 
@@ -248,8 +241,8 @@ def _canonical_points(P: np.ndarray, rank: int) -> np.ndarray:
             | np.all(P == -pattern, axis=(-2, -1)))
 
 
-def canonical_chart_symmetry(ctx: ChartContext, q) -> np.ndarray:
-    """Christoffel-form Frobenius residual in a canonical chart at each row of q.
+def canonical_chart_symmetry(ctx: ChartContext) -> np.ndarray:
+    """Christoffel-form Frobenius residual in a canonical chart at each point of ctx.
 
     With the bivector in canonical block form the leaf coordinates t index
     the 1-forms theta_t = g(d_t, .), which span the annihilator of the
@@ -260,16 +253,16 @@ def canonical_chart_symmetry(ctx: ChartContext, q) -> np.ndarray:
     symmetry Gamma_{JIt} = Gamma_{IJt} alone is equivalent only where the
     metric has no transversal-leaf entries g_{It}.
     """
-    off = np.flatnonzero(~_canonical_points(ctx.bivector_at(q),
+    off = np.flatnonzero(~_canonical_points(ctx.bivector_at(),
                                             ctx.structure.expected_rank))
     if off.size:
         raise GeometryError(
-            f"bivector at {Point(q[off[0]])!r} is not the canonical constant block "
+            f"bivector at {ctx.points[off[0]]!r} is not the canonical constant block "
             "form; the Christoffel-symmetry criterion is specific to such charts")
-    leaf = ctx.christoffel_at(q).first_kind[..., ctx.codim:]
+    leaf = ctx.christoffel_at().first_kind[..., ctx.codim:]
     dtheta = leaf.swapaxes(1, 2) - leaf  # [k, a, b, t] = d theta_t(d_a, d_b)
-    frame = ctx.frame_at(q)
-    residual = _Maxima(("chart",), len(q))
+    frame = ctx.frame_at()
+    residual = _Maxima(("chart",), len(ctx.q))
     for i, j in _pairs(ctx.codim):
         residual.record("chart", np.einsum(
             "...a,...b,...abt->...t", frame[..., i], frame[..., j], dtheta))
@@ -312,41 +305,30 @@ class Verdict:
         }
 
 
-def verdict(ps: PoissonStructure, m: MetricField, grid: Grid,
-            scheme: DerivativeScheme = DEFAULT_SCHEME,
-            tol: float | None = None,
-            ctx: ChartContext | None = None,
-            points=None) -> Verdict:
-    """Run every condition over the grid and aggregate.
+def verdict(ctx: ChartContext, tol: float | None = None) -> Verdict:
+    """Run every condition over the context's points and aggregate.
 
-    Every row of ``CONDITIONS`` becomes one report, classified by its
-    role: the binding rows decide ``integrable``, the others only the
-    consistency flag. ``points`` passes the grid's sampled points when the
-    caller has them, and ``ctx`` a context built from this structure,
-    metric and scheme (ValueError otherwise).
+    ``ctx`` holds the structure, metric, scheme and points of the check,
+    the grid's for a scenario run; ``tol`` defaults to the scheme's. Every
+    row of ``CONDITIONS`` becomes one report, classified by its role: the
+    binding rows decide ``integrable``, the others only the consistency
+    flag.
     """
-    if ctx is None:
-        ctx = ChartContext(ps, m, scheme)
-    elif ctx.structure is not ps or ctx.metric is not m or ctx.scheme != scheme:
-        raise ValueError(
-            "ctx was built from another structure, metric or scheme than the "
-            "one passed to verdict")
     tol = default_tolerance(ctx.scheme) if tol is None else tol
-    points = grid.sample() if points is None else points
-    q = points.coords
+    points, q = ctx.points, ctx.q
 
-    chart_ok = canonical_block_form_ok(ctx.bivector_at(q), ps.expected_rank)
+    chart_ok = canonical_block_form_ok(ctx.bivector_at(), ctx.structure.expected_rank)
     # the orthogonal frame is only defined where the gram matrix is
     # invertible; catch degenerate points even when there are no frame
     # pairs (codimension one)
-    check_gram_nondegenerate(ctx.gram_at(q), q)
-    vals = equivalence_condition_values(ctx, q)
-    suff = sufficient_condition_values(ctx, q)
+    check_gram_nondegenerate(ctx.gram_at(), q)
+    vals = equivalence_condition_values(ctx)
+    suff = sufficient_condition_values(ctx)
     ra, rn = covanishing_values(vals)
     agree = (ra <= tol) == (rn <= tol)
     residuals = {**vals, **suff, "kernel-image-covanishing": np.where(agree, 0.0, 1.0)}
     if chart_ok:
-        residuals["christoffel-symmetry"] = canonical_chart_symmetry(ctx, q)
+        residuals["christoffel-symmetry"] = canonical_chart_symmetry(ctx)
     extras = {
         "kernel-image-covanishing": dict(
             bivector_route_norms=ra.tolist(), torsion_route_norms=rn.tolist(),

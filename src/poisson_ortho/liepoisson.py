@@ -30,7 +30,8 @@ import numpy as np
 from . import dsl
 from .context import ChartContext
 from .errors import ConfigError, ConsistencyError, DegeneracyError, RegularityError
-from .geometry import CENTRAL_4, Grid, Points, central_stencil
+from .geometry import CENTRAL_4, central_stencil
+from .integrability import default_tolerance
 from .metric import MetricField
 from .poisson import PoissonStructure
 from .reports import ConditionReport
@@ -353,12 +354,10 @@ def builtin_algebra(name: str, **params) -> BuiltinAlgebra:
     return _BUILTIN_FACTORIES[name](**params)
 
 
-def ensure_regular_grid(alg: BuiltinAlgebra, grid: Grid, points=None) -> None:
-    """Reject grids that touch the non-regular locus before any run starts.
-
-    ``points`` passes the grid's sampled points when the caller has them.
-    """
-    for p in grid.sample() if points is None else points:
+def ensure_regular_grid(alg: BuiltinAlgebra, points) -> None:
+    """Reject a grid's points, a ``geometry.Points`` batch, when one touches
+    the non-regular locus, before any run starts."""
+    for p in points:
         if not alg.regular(p.coords):
             raise RegularityError(
                 f"grid point {p!r} lies outside the regular domain of "
@@ -400,10 +399,9 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
     solve; the residual is the norm of the out-of-span component (maximum
     over the tangent directions). A rank-deficient frame along the surface
     makes the decomposition meaningless and raises instead, naming the
-    first such sample. The frame is evaluated at all samples as one batch.
+    first such sample. The frame is read from a context of its own over the
+    surface points, built from ``ctx``'s structure, metric and scheme.
     """
-    from .integrability import default_tolerance
-
     if tol is None:
         tol = default_tolerance(ctx.scheme)
     params = np.array(samples, dtype=float).reshape(len(samples), -1)
@@ -411,8 +409,8 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
     def at(q):
         return np.asarray(surface(*q.T), dtype=float)
 
-    points = Points(at(params))
-    frames = ctx.frame_at(points.coords)
+    on_surface = ChartContext(ctx.structure, ctx.metric, at(params), ctx.scheme)
+    frames = on_surface.frame_at()
     steps = ctx.scheme.step_for(params)
     # tangents[k, :, j]: d surface / d param j at sample k
     tangents = np.stack([central_stencil(at, params, j, steps[:, j], CENTRAL_4)
@@ -433,4 +431,4 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
         residuals.append(max(0.0, *norms))
     return ConditionReport(
         "integral-surface", "|| (1 - Xi Xi^+) d surface / d param ||", tol,
-        binding=False, points=points, residuals=residuals)
+        binding=False, points=on_surface.points, residuals=residuals)

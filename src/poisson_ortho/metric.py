@@ -93,14 +93,17 @@ class MetricField:
 def reject_singular(matrix, what):
     """Raise DegeneracyError if the matrix, or one of a stack, is singular.
 
+    A matrix is singular when it is all zero or when |det| falls below
+    ``DET_FLOOR_FACTOR`` times its largest |entry| to the n-th power.
     ``what`` names the matrix; for a stack it may be a function of the index
     of the first singular one.
     """
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
     n = stack.shape[-1]
-    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    scale = np.max(np.abs(stack), axis=(1, 2))
     det = np.linalg.det(stack)
-    singular = np.flatnonzero(np.abs(det) < DET_FLOOR_FACTOR * scale ** n)
+    singular = np.flatnonzero((scale == 0.0)
+                              | (np.abs(det) < DET_FLOOR_FACTOR * scale ** n))
     if singular.size:
         k = singular[0]
         cond = float(np.linalg.cond(stack[k]))

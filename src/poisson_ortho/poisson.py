@@ -16,10 +16,9 @@ import numpy as np
 from . import dsl
 from .errors import DegeneracyError, RegularityError
 from .geometry import (
-    DEFAULT_SCHEME, DerivativeScheme, Grid, Point, TensorField, matvec,
+    DEFAULT_SCHEME, DerivativeScheme, Point, TensorField, matvec,
     pointwise_max_abs,
 )
-from .metric import MetricField
 from .reports import ConditionReport, PoissonValidationReport
 
 RANK_SVD_FACTOR = 1e-9
@@ -153,36 +152,23 @@ def bivector_rank(P: np.ndarray):
     return np.sum(singulars > RANK_SVD_FACTOR * top, axis=-1)
 
 
-def validate_poisson(ps: PoissonStructure, grid: Grid,
-                     scheme: DerivativeScheme = DEFAULT_SCHEME,
-                     tol: float = ANNIHILATION_TOL,
-                     points=None, ctx=None) -> PoissonValidationReport:
-    """Antisymmetry, Jacobi, Casimir annihilation, and rank over a grid.
+def validate_poisson(ctx, tol: float = ANNIHILATION_TOL) -> PoissonValidationReport:
+    """Antisymmetry, Jacobi, Casimir annihilation, and rank over a batch.
 
-    ``points`` passes the grid's sampled points when the caller has them,
-    and ``ctx`` the check's ``context.ChartContext``, built from this
-    structure and scheme (ValueError otherwise): P, its partials and the
-    Casimir gradients are read from it, so a check differentiates the
-    bivector once. Raises RegularityError naming the first sampled point
-    whose bivector rank differs from the declared one; rank jumps across
-    the grid are a special case of that.
+    ``ctx`` is the check's ``context.ChartContext``, bound to the grid's
+    points: P, its partials and the Casimir gradients are read from it, so
+    a check differentiates the bivector once; the metric is not read.
+    Raises RegularityError naming the first point whose bivector rank
+    differs from the declared one; rank jumps across the grid are a
+    special case of that.
     """
-    if ctx is None:
-        from .context import ChartContext  # the context builds on this module
-        # the validation reads no metric, so a flat one completes the context
-        ctx = ChartContext(ps, MetricField.constant(np.eye(ps.dim)), scheme)
-    elif ctx.structure is not ps or ctx.scheme != scheme:
-        raise ValueError(
-            "ctx was built from another structure or scheme than the one "
-            "passed to validate_poisson")
-    points = grid.sample() if points is None else points
-    q = points.coords
-    P = ctx.bivector_at(q)
-    dP = ctx.bivector_jacobian_at(q)  # [..., l, t, s]
+    ps, points = ctx.structure, ctx.points
+    P = ctx.bivector_at()
+    dP = ctx.bivector_jacobian_at()  # [..., l, t, s]
     contraction = (np.einsum("...lm,...lns->...mns", P, dP)
                    + np.einsum("...ln,...lsm->...mns", P, dP)
                    + np.einsum("...ls,...lmn->...mns", P, dP))
-    annihilation = pointwise_max_abs(matvec(P[:, None], ctx.gradient_at(q)))
+    annihilation = pointwise_max_abs(matvec(P[:, None], ctx.gradient_at()))
 
     ranks = bivector_rank(P)
     wrong = np.flatnonzero(ranks != ps.expected_rank)
@@ -205,7 +191,7 @@ def validate_poisson(ps: PoissonStructure, grid: Grid,
             pointwise_max_abs(contraction)),
         casimir_annihilation=report(
             "casimir-annihilation", "P^{ts} (dc^i)_s = 0", annihilation),
-        rank=int(ranks[0]) if len(ranks) else 0)
+        rank=int(ranks[0]))
 
 
 def canonical_bivector(dim: int, rank: int) -> TensorField:

@@ -384,14 +384,14 @@ def _integral_surface_setup(name: str, center):
     return None, None
 
 
-def _algebra_extras(config: ScenarioConfig, ctx: ChartContext, points) -> dict:
+def _algebra_extras(config: ScenarioConfig, ctx: ChartContext) -> dict:
     alg = config.algebra
     killing = killing_form(alg.constants)
 
-    table = casimir_lie_bracket(alg.constants, ctx.coframe_at(points.coords))
+    table = casimir_lie_bracket(alg.constants, ctx.coframe_at())
     bracket_max = float(np.max(np.abs(table), initial=0.0))
     grams = [{"point": coords, "matrix": gram}
-             for coords, gram in zip(points.coords.tolist(), ctx.gram_at(points.coords).tolist())]
+             for coords, gram in zip(ctx.q.tolist(), ctx.gram_at().tolist())]
 
     extras = {
         "algebra": alg.name,
@@ -533,18 +533,15 @@ def run(config: ScenarioConfig) -> RunReport:
     started = time.perf_counter()
     points = config.grid.sample()
     if config.algebra is not None:
-        ensure_regular_grid(config.algebra, config.grid, points)
+        ensure_regular_grid(config.algebra, points)
     tol = config.tol if config.tol is not None else default_tolerance(config.scheme)
-    ctx = ChartContext(config.structure, config.metric, config.scheme)
-    validation = validate_poisson(config.structure, config.grid, config.scheme,
-                                  points=points, ctx=ctx)
-    result = None
-    extras = None
+    ctx = ChartContext(config.structure, config.metric, points, config.scheme)
+    validation = validate_poisson(ctx)
+    result = extras = None
     if validation.ok:
-        result = verdict(config.structure, config.metric, config.grid,
-                         config.scheme, tol, ctx=ctx, points=points)
+        result = verdict(ctx, tol)
         if config.algebra is not None:
-            extras = _algebra_extras(config, ctx, points)
+            extras = _algebra_extras(config, ctx)
     return RunReport(
         scenario=config,
         validation=validation,

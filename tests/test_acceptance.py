@@ -100,11 +100,10 @@ def test_criterion_01_shear_detection(builtin_runs):
     # (d1 - f d3)/(1 - f^2) and xi_2 = d2, so in closed form it is
     # f'(0) d3 = (1/pi) d3
     cfg = scenarios.load_scenario("model4d-atan")
-    ctx = ChartContext(cfg.structure, cfg.metric, cfg.scheme)
     w = rep.verdict.report("frobenius-curvature").witness
     assert w.coords[1] == 0.0
-    q = w.coords[None, :]
-    vec = matvec(ctx.projector_v(q), ctx.frame_bracket(0, 1, "h", "h", q))[0]
+    ctx = ChartContext(cfg.structure, cfg.metric, w.coords[None, :], cfg.scheme)
+    vec = matvec(ctx.projector_v(), ctx.frame_bracket(0, 1, "h", "h"))[0]
     assert np.allclose(vec, [0.0, 0.0, INV_PI, 0.0], atol=1e-9)
 
     # same detection under pure finite differences, looser tolerance
@@ -146,7 +145,7 @@ def random_metric_runs():
     runs = []
     for _ in range(20):
         m = _random_metric(rng)
-        runs.append((m, verdict(structure, m, grid)))
+        runs.append((m, verdict(ChartContext(structure, m, grid.sample()))))
     return runs
 
 
@@ -277,10 +276,9 @@ def test_criterion_08_se3(builtin_runs):
     rep = builtin_runs["se3"]
     assert rep.exit_code == 0 and rep.verdict.integrable
     cfg = rep.scenario
-    ctx = ChartContext(cfg.structure, cfg.metric, cfg.scheme)
-    q = cfg.grid.sample().coords
-    brackets = ctx.frame_bracket(0, 1, "plain", "plain", q)
-    for coords, gram, bracket in zip(q, ctx.gram_at(q), brackets):
+    ctx = ChartContext(cfg.structure, cfg.metric, cfg.grid.sample(), cfg.scheme)
+    brackets = ctx.frame_bracket(0, 1, "plain", "plain")
+    for coords, gram, bracket in zip(ctx.q, ctx.gram_at(), brackets):
         x, p = coords[:3], coords[3:]
         want = np.array([[2.0 * float(x @ p), float(p @ p)],
                          [float(p @ p), 0.0]])
@@ -320,9 +318,8 @@ def test_criterion_09_compact(builtin_runs):
     assert builtin_runs["so3xso3"].extras["casimir_bracket_max_abs"] == 0.0
     alg = builtin_algebra("so3xso3")
     cfg = builtin_runs["so3xso3"].scenario
-    ctx = ChartContext(cfg.structure, cfg.metric, cfg.scheme)
-    worst = float(np.max(np.abs(casimir_lie_bracket(
-        alg.constants, ctx.coframe_at(cfg.grid.sample().coords)))))
+    ctx = ChartContext(cfg.structure, cfg.metric, cfg.grid.sample(), cfg.scheme)
+    worst = float(np.max(np.abs(casimir_lie_bracket(alg.constants, ctx.coframe_at()))))
     assert worst == 0.0
 
     surf = builtin_runs["so3"].extras["integral_surface"]
@@ -339,7 +336,7 @@ def test_criterion_10_degeneracy():
     # the coframe pairing drops rank on the zero level set of the invariant
     nilpotent = Grid.cube((0.0, 1.0, 0.0), 0.0, 1)
     with pytest.raises(DegeneracyError) as err:
-        verdict(alg.structure, alg.metric, nilpotent)
+        verdict(ChartContext(alg.structure, alg.metric, nilpotent.sample()))
     assert "degenerate" in str(err.value).lower()
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bracket_oracle import bracket_obstruction, leaf_transport
+from poisson_ortho.context import ChartContext
 from poisson_ortho.geometry import Grid
 from poisson_ortho.integrability import EQUIVALENCE_IDS, verdict
 from poisson_ortho.liepoisson import builtin_algebra, linear_poisson, se3_metric
@@ -111,7 +112,7 @@ def _coords(grid):
 def test_builtin_bracket_conditions_match_oracle(name):
     config = load_scenario(name)
     expected = bracket_obstruction(_coords(config.grid), **BUILTINS[name])
-    v = verdict(config.structure, config.metric, config.grid)
+    v = verdict(ChartContext(config.structure, config.metric, config.grid.sample()))
     _assert_matches_oracle(v, expected)
     assert v.integrable == (name != "model4d-atan")
 
@@ -131,7 +132,8 @@ def test_lie_poisson_generic_metric_and_scales_match_oracle():
                                    casimirs=casimirs, raising=_rows(raising),
                                    scales=scales)
     assert expected.min() > 1e-3
-    v = verdict(structure, MetricField.from_contravariant(raising), grid)
+    metric = MetricField.from_contravariant(raising)
+    v = verdict(ChartContext(structure, metric, grid.sample()))
     _assert_matches_oracle(v, expected)
     assert not v.integrable and v.consistent
 
@@ -144,7 +146,7 @@ def test_se3_metric_family_matches_oracle():
     expected = bracket_obstruction(_coords(grid), bivector=_se3(),
                                    casimirs=BUILTINS["se3"]["casimirs"],
                                    raising=_rows(upper), scales=["1", "0.5"])
-    v = verdict(alg.structure, se3_metric(0.7, 1.5), grid)
+    v = verdict(ChartContext(alg.structure, se3_metric(0.7, 1.5), grid.sample()))
     _assert_matches_oracle(v, expected)
 
 
@@ -186,7 +188,8 @@ def test_so3_leaf_transport_matches_oracle_pointwise():
     expected = leaf_transport(_coords(grid), bivector=_so3(),
                               casimirs=BUILTINS["so3"]["casimirs"], metric=metric)
     assert expected.max() > 0.1
-    v = verdict(alg.structure, MetricField.from_entries(3, metric), grid)
+    v = verdict(ChartContext(alg.structure, MetricField.from_entries(3, metric),
+                             grid.sample()))
     got = np.array(v.report("leaf-parallel-transport").residuals)
     assert np.max(np.abs(got - expected)) <= 1e-9
 

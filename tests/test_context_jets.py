@@ -67,21 +67,26 @@ def _assert_jet_matches_stencil(value, jet, q, rtol, what):
     assert np.max(np.abs(jet - stencil)) <= rtol * scale, what
 
 
-def _assert_jets_match(ctx, q, rtol):
+def _assert_jets_match(structure, metric, scheme, q, rtol):
+    def at(q):
+        """A context over q: the checked points or a stencil's shifted copies."""
+        return ChartContext(structure, metric, q, scheme)
+
+    ctx = at(q)
     for i in range(ctx.codim):
         # the values and jets a frame bracket consumes
         for mode, what in (("plain", f"xi_{i}"), ("h", f"h xi_{i}"), ("v", f"v xi_{i}")):
             _assert_jet_matches_stencil(
-                lambda q, i=i, mode=mode: ctx._frame_variant(i, mode, q)[0],
-                ctx._frame_variant(i, mode, q)[1], q, rtol, what)
+                lambda q, i=i, mode=mode: at(q)._frame_variant(i, mode)[0],
+                ctx._frame_variant(i, mode)[1], q, rtol, what)
         _assert_jet_matches_stencil(
-            lambda q, i=i: ctx.casimir_sharp_at(q)[..., i],
-            ctx.casimir_sharp_jacobian_at(q)[..., i], q, rtol,
+            lambda q, i=i: at(q).casimir_sharp_at()[..., i],
+            ctx.casimir_sharp_jacobian_at()[..., i], q, rtol,
             f"raised gradient of casimir {i}")
     for col in (2, 3):
         _assert_jet_matches_stencil(
-            lambda q, col=col: ctx.bivector_at(q)[..., col],
-            ctx.bivector_jacobian_at(q)[..., col], q, rtol, f"bivector column {col}")
+            lambda q, col=col: at(q).bivector_at()[..., col],
+            ctx.bivector_jacobian_at()[..., col], q, rtol, f"bivector column {col}")
 
 
 def _example(seed, coords):
@@ -100,14 +105,14 @@ EXAMPLES = (st.integers(0, 2**32 - 1),
 @given(*EXAMPLES)
 def test_exact_jets_match_central_stencil(seed, coords):
     structure, metric, q = _example(seed, coords)
-    _assert_jets_match(ChartContext(structure, metric), q, JET_RTOL)
+    _assert_jets_match(structure, metric, DEFAULT_SCHEME, q, JET_RTOL)
 
 
 @settings(max_examples=25, deadline=None)
 @given(*EXAMPLES)
 def test_stencilled_input_jets_match_central_stencil(seed, coords):
     structure, metric, q = _example(seed, coords)
-    _assert_jets_match(ChartContext(structure, metric, FD4), q, NESTED_RTOL)
+    _assert_jets_match(structure, metric, FD4, q, NESTED_RTOL)
 
 
 PRODUCT_SCALES = ("1 + x3^2/4", "2 - x1*x4/8")
@@ -126,9 +131,9 @@ def test_scaled_coframe_is_the_product_rule_on_its_scales(seed, coords):
     want = np.stack([w.components(q) for w in scaled], axis=1)
     want_jacobian = np.stack([jacobian(w, q) for w in scaled], axis=2)
     for scheme, rtol in ((DEFAULT_SCHEME, PRODUCT_RTOL), (FD4, NESTED_RTOL)):
-        ctx = ChartContext(structure, metric, scheme)
+        ctx = ChartContext(structure, metric, q, scheme)
         for what, got, expected in (
-                ("coframe", ctx.coframe_at(q), want),
-                ("coframe partials", ctx.coframe_jacobian_at(q), want_jacobian)):
+                ("coframe", ctx.coframe_at(), want),
+                ("coframe partials", ctx.coframe_jacobian_at(), want_jacobian)):
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(got - expected)) <= rtol * scale, (what, scheme.kind)

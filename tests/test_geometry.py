@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from poisson_ortho import dsl
 from poisson_ortho.errors import EvaluationError, ExprDomainError
 from poisson_ortho.geometry import (
-    CENTRAL_2, CENTRAL_4, SCHEME_KINDS, DerivativeScheme, Grid, Point, TensorField,
-    jacobian, lie_bracket, partial_derivative, stencil_gradient, stencil_hessian,
+    CENTRAL_2, CENTRAL_4, SCHEME_KINDS, DerivativeScheme, Grid, Point, Points, TensorField,
+    jacobian, lie_bracket, partial_derivative, pointwise_max_abs, stencil_gradient,
+    stencil_hessian,
 )
 from test_dsl import _exprs
 
@@ -48,6 +49,18 @@ def test_scheme_validation():
         DerivativeScheme(step=0.0)
 
 
+@pytest.mark.parametrize("step", [5e-324, 1e-17])
+def test_scheme_rejects_a_step_below_the_coordinate_resolution(step):
+    with pytest.raises(ValueError, match="resolution"):
+        DerivativeScheme(kind=CENTRAL_4, step=step)
+
+
+def test_point_batch_is_not_empty():
+    with pytest.raises(ValueError, match="empty point batch"):
+        Points(np.zeros((0, 4)))
+    assert len(Points(np.zeros((1, 4)))) == 1
+
+
 def test_scheme_step_scales_with_coordinate_magnitude():
     s = DerivativeScheme(step=1e-5)
     assert s.step_for(0.0) == 1e-5
@@ -65,6 +78,16 @@ def test_constant_field_and_zero_derivative():
     assert f.is_constant
     d = partial_derivative(f, p, 2)[0]
     assert np.array_equal(d, np.zeros((3, 3)))
+
+
+def test_fields_and_maxima_take_a_batch_of_no_points():
+    no_points = np.zeros((0, 3))
+    expr = dsl.expr_field(3, "ll", [["x1", "0", "0"], ["0", "1", "0"], ["0", "0", "x3"]])
+    for field in (expr, TensorField.constant(3, "u", [1.0, 2.0, 3.0]),
+                  dsl.scalar_field("x1*x2", 3)):
+        values = field.components(no_points)
+        assert values.shape == (0,) + field.shape
+        assert pointwise_max_abs(values).shape == (0,)
 
 
 def test_field_shape_mismatch_rejected():

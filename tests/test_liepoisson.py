@@ -216,7 +216,7 @@ def test_builtin_bivectors_pass_validate_poisson_exactly():
     for name in BUILTIN_NAMES:
         alg = builtin_algebra(name)
         grid = Grid.cube(list(alg.default_center), alg.default_half_width, 2)
-        rep = validate_poisson(alg.structure, grid)
+        rep = validate_poisson(ChartContext(alg.structure, alg.metric, grid.sample()))
         assert rep.ok, name
         assert rep.jacobi.max_residual == 0.0, name
 
@@ -246,14 +246,14 @@ def test_default_grids_are_regular():
     for name in BUILTIN_NAMES:
         alg = builtin_algebra(name)
         grid = Grid.cube(list(alg.default_center), alg.default_half_width, 3)
-        ensure_regular_grid(alg, grid)  # should not raise
+        ensure_regular_grid(alg, grid.sample())  # should not raise
 
 
 def test_irregular_grid_rejected():
     alg = builtin_algebra("so3")
     bad = Grid.cube([0.0, 0.0, 0.0], 0.0, 1)
     with pytest.raises(RegularityError, match="regular domain"):
-        ensure_regular_grid(alg, bad)
+        ensure_regular_grid(alg, bad.sample())
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def test_se3_metric_ad_invariant():
 
 def test_casimir_bracket_codimension_one_trivial():
     alg = builtin_algebra("so3")
-    coframe = ChartContext(alg.structure, alg.metric).coframe_at(np.array([[0.0, 0.0, 1.0]]))
+    coframe = ChartContext(alg.structure, alg.metric, [[0.0, 0.0, 1.0]]).coframe_at()
     table = casimir_lie_bracket(alg.constants, coframe)
     assert table.shape == (1, 1, 1, 3)
     assert np.max(np.abs(table)) == 0.0
@@ -312,10 +312,10 @@ def test_casimir_bracket_codimension_one_trivial():
 
 def test_casimir_bracket_so3xso3_abelian():
     alg = builtin_algebra("so3xso3")
-    ctx = ChartContext(alg.structure, alg.metric)
     for coords in ([0.0, 0.0, 1.0, 0.0, 0.0, 1.0],
                    [0.3, -0.2, 0.9, 1.0, 0.4, -0.1]):
-        table = casimir_lie_bracket(alg.constants, ctx.coframe_at(np.array([coords])))
+        ctx = ChartContext(alg.structure, alg.metric, [coords])
+        table = casimir_lie_bracket(alg.constants, ctx.coframe_at())
         assert table.shape == (1, 2, 2, 6)
         assert np.max(np.abs(table)) == 0.0
 
@@ -323,12 +323,12 @@ def test_casimir_bracket_so3xso3_abelian():
 def test_casimir_bracket_se3_abelian_in_scenario_gauge():
     # [(p, x), (0, p)] = (p x 0, p x p + x x 0) = 0 at every point
     alg = builtin_algebra("se3")
-    ctx = ChartContext(alg.structure, alg.metric)
     rng = np.random.default_rng(7)
     for _ in range(5):
         coords = rng.uniform(-1.0, 1.0, size=6)
         coords[3:] += 2.0  # keep p away from zero
-        table = casimir_lie_bracket(alg.constants, ctx.coframe_at(coords[None, :]))
+        ctx = ChartContext(alg.structure, alg.metric, [coords])
+        table = casimir_lie_bracket(alg.constants, ctx.coframe_at())
         assert np.max(np.abs(table)) == 0.0
 
 
@@ -338,21 +338,19 @@ def test_casimir_bracket_se3_abelian_in_scenario_gauge():
 def test_se3_frame_bracket_vanishes_exactly():
     for alpha, beta in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
         alg = builtin_algebra("se3", alpha=alpha, beta=beta)
-        ctx = ChartContext(alg.structure, alg.metric)
-        p = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
-        br = ctx.frame_bracket(0, 1, "plain", "plain", p)
+        ctx = ChartContext(alg.structure, alg.metric, [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+        br = ctx.frame_bracket(0, 1, "plain", "plain")
         assert np.max(np.abs(br)) == 0.0
 
 
 def test_se3_frame_and_gram_at_base_point():
     alg = builtin_algebra("se3")
-    ctx = ChartContext(alg.structure, alg.metric)
-    p = np.array([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
-    frame = ctx.frame_at(p)[0]
+    ctx = ChartContext(alg.structure, alg.metric, [[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+    frame = ctx.frame_at()[0]
     # xi_1 = sharp(p, x) = (x, p), the radial field; xi_2 = sharp(0, p) = (p, 0)
     assert np.array_equal(frame[:, 0], [1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     assert np.array_equal(frame[:, 1], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    gram = ctx.gram_at(p)[0]
+    gram = ctx.gram_at()[0]
     assert np.array_equal(gram, [[0.0, 1.0], [1.0, 0.0]])  # [[2c1, c2],[c2, 0]]
 
 
@@ -363,8 +361,8 @@ def test_se3_frame_and_gram_at_base_point():
 def test_builtin_verdicts_integrable(name):
     alg = builtin_algebra(name)
     grid = Grid.cube(list(alg.default_center), alg.default_half_width, 2)
-    ensure_regular_grid(alg, grid)
-    v = verdict(alg.structure, alg.metric, grid)
+    ensure_regular_grid(alg, grid.sample())
+    v = verdict(ChartContext(alg.structure, alg.metric, grid.sample()))
     assert v.integrable, name
     assert v.consistent, name
     assert v.report("christoffel-symmetry").label == "skipped"
@@ -393,7 +391,7 @@ def param_box(lo, hi, count):
 
 def test_integral_surface_se3_exponential():
     alg = builtin_algebra("se3")
-    ctx = ChartContext(alg.structure, alg.metric)
+    ctx = ChartContext(alg.structure, alg.metric, [alg.default_center])
     rep = verify_integral_surface(se3_exponential_surface, ctx,
                                   param_box(-1.0, 1.0, 5))
     assert rep.holds
@@ -402,7 +400,7 @@ def test_integral_surface_se3_exponential():
 
 def test_integral_surface_so3_ray():
     alg = builtin_algebra("so3")
-    ctx = ChartContext(alg.structure, alg.metric)
+    ctx = ChartContext(alg.structure, alg.metric, [alg.default_center])
     surface = lambda s: np.exp(s)[:, None] * np.array([0.0, 0.0, 1.0])
     rep = verify_integral_surface(surface, ctx, [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert rep.holds
@@ -411,7 +409,7 @@ def test_integral_surface_so3_ray():
 
 def test_integral_surface_negative_control():
     alg = builtin_algebra("se3")
-    ctx = ChartContext(alg.structure, alg.metric)
+    ctx = ChartContext(alg.structure, alg.metric, [alg.default_center])
     surface = lambda s, t: columns(1.0 + s, 0.0, 0.0, 0.0, 1.0 + t, 0.0)
     rep = verify_integral_surface(surface, ctx, param_box(-0.5, 0.5, 3))
     assert not rep.holds
@@ -420,7 +418,7 @@ def test_integral_surface_negative_control():
 
 def test_integral_surface_degenerate_frame():
     alg = builtin_algebra("se3")
-    ctx = ChartContext(alg.structure, alg.metric)
+    ctx = ChartContext(alg.structure, alg.metric, [alg.default_center])
     surface = lambda s, t: columns(s, t, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DegeneracyError, match="rank-deficient"):
         verify_integral_surface(surface, ctx, [(0.3, 0.4)])
@@ -429,7 +427,7 @@ def test_integral_surface_degenerate_frame():
 def test_integral_surface_names_the_first_degenerate_sample():
     # the se3 frame is rank-deficient where p = 0, here wherever s = 0
     alg = builtin_algebra("se3")
-    ctx = ChartContext(alg.structure, alg.metric)
+    ctx = ChartContext(alg.structure, alg.metric, [alg.default_center])
     surface = lambda s, t: columns(1.0, t, 0.0, s, 0.0, 0.0)
     with pytest.raises(DegeneracyError, match=r"parameters \(0\.0, 0\.25\)$"):
         verify_integral_surface(surface, ctx, [(1.0, 0.5), (0.0, 0.25), (0.0, 0.75)])
@@ -445,7 +443,8 @@ def per_sample_residuals(surface, ctx, samples):
     residuals = []
     for raw in samples:
         params = [float(v) for v in np.atleast_1d(raw)]
-        frame = ctx.frame_at(at(params)[None])[0]
+        on_surface = ChartContext(ctx.structure, ctx.metric, at(params)[None], ctx.scheme)
+        frame = on_surface.frame_at()[0]
         worst = 0.0
         for axis in range(len(params)):
             h = ctx.scheme.step_for(params[axis])
@@ -467,7 +466,8 @@ def per_sample_residuals(surface, ctx, samples):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_batched_surface_check_is_bit_identical_to_per_sample_stencils(name, kind):
     alg = builtin_algebra(name)
-    ctx = ChartContext(alg.structure, alg.metric, DerivativeScheme(kind=kind))
+    ctx = ChartContext(alg.structure, alg.metric, [alg.default_center],
+                       DerivativeScheme(kind=kind))
     surface, samples = scenarios._integral_surface_setup(name, alg.default_center)
     rep = verify_integral_surface(surface, ctx, samples)
     assert rep.residuals == per_sample_residuals(surface, ctx, samples)

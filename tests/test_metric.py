@@ -106,6 +106,16 @@ def test_singular_metric_raises_degeneracy_error():
     assert "condition number" in str(err.value)
 
 
+def test_all_zero_metric_is_singular_and_a_tiny_one_is_not():
+    # the zero matrix's floor scale^n is 0 and so is its determinant: it is
+    # singular because its largest entry is 0, not by the determinant test
+    with pytest.raises(DegeneracyError, match="singular"):
+        inverse_metric(MetricField.constant(np.zeros((4, 4))), pt(0.0, 0.0, 0.0, 0.0))
+    # 1e-90 I underflows det and scale^n alike, and inverts exactly
+    tiny = inverse_metric(MetricField.constant(1e-90 * np.eye(4)), pt(0.0, 0.0, 0.0, 0.0))
+    assert np.array_equal(tiny[0], 1e90 * np.eye(4))
+
+
 def test_shear_metric_eigenvalues():
     # spectrum is {1, 1, 1+f, 1-f}
     m = shear_metric()

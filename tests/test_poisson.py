@@ -10,10 +10,12 @@ import pytest
 from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError, RegularityError
-from poisson_ortho.geometry import CENTRAL_4, DerivativeScheme, Grid, TensorField
+from poisson_ortho.geometry import (
+    CENTRAL_4, DEFAULT_SCHEME, DerivativeScheme, Grid, TensorField,
+)
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import (
-    PoissonStructure, bivector_rank, canonical_bivector, coframe_fields,
+    ANNIHILATION_TOL, PoissonStructure, bivector_rank, canonical_bivector, coframe_fields,
     independent_column_mask, validate_poisson,
 )
 from poisson_ortho.scenarios import ScenarioConfig, run
@@ -22,6 +24,12 @@ from poisson_ortho.scenarios import ScenarioConfig, run
 def pt(*coords):
     """A batch of one point: the (1, dim) coordinate array."""
     return np.array([coords], dtype=float)
+
+
+def grid_validation(ps, grid, scheme=DEFAULT_SCHEME, tol=ANNIHILATION_TOL):
+    """validate_poisson over the grid's points; the metric is not read."""
+    flat = MetricField.constant(np.eye(ps.dim))
+    return validate_poisson(ChartContext(ps, flat, grid.sample(), scheme), tol)
 
 
 def canonical4():
@@ -188,8 +196,9 @@ def test_casimir_coframe_checks_independence():
 
 
 def test_casimir_coframe_values_so3():
-    ctx = ChartContext(so3_structure(), MetricField.from_contravariant(np.eye(3)))
-    assert np.allclose(ctx.coframe_at(pt(0.1, -0.2, 1.0))[0], [[0.2, -0.4, 2.0]])
+    ctx = ChartContext(so3_structure(), MetricField.from_contravariant(np.eye(3)),
+                       pt(0.1, -0.2, 1.0))
+    assert np.allclose(ctx.coframe_at()[0], [[0.2, -0.4, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +206,36 @@ def test_casimir_coframe_values_so3():
 
 def test_orthogonal_frame_shear_metric():
     # raising dx1 through the sheared metric tilts the frame into -x3
-    ctx = ChartContext(canonical4(), shear_metric())
-    p = pt(0.0, 1.0, 0.0, 0.0)  # f = atan(1)/pi = 1/4 here
-    frame = ctx.frame_at(p)[0]
+    ctx = ChartContext(canonical4(), shear_metric(), pt(0.0, 1.0, 0.0, 0.0))
+    frame = ctx.frame_at()[0]  # f = atan(1)/pi = 1/4 here
     assert frame.shape == (4, 2)
     assert np.allclose(frame[:, 0], [16 / 15, 0.0, -4 / 15, 0.0])
     assert np.allclose(frame[:, 1], [0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(ctx.gram_at(p)[0], [[16 / 15, 0.0], [0.0, 1.0]])
-    assert ctx.coframe_at(p)[0].shape == (2, 4)
+    assert np.allclose(ctx.gram_at()[0], [[16 / 15, 0.0], [0.0, 1.0]])
+    assert ctx.coframe_at()[0].shape == (2, 4)
 
 
 def test_frame_is_metric_orthogonal_to_leaf():
     m = shear_metric()
-    ctx = ChartContext(canonical4(), m)
     p = pt(0.4, -0.3, 1.0, 2.0)
-    P = ctx.bivector_at(p)[0]
+    ctx = ChartContext(canonical4(), m, p)
+    P = ctx.bivector_at()[0]
     B = P[:, independent_column_mask(P)]
-    assert np.max(np.abs(B.T @ m.components(p)[0] @ ctx.frame_at(p)[0])) < 1e-12
+    assert np.max(np.abs(B.T @ m.components(p)[0] @ ctx.frame_at()[0])) < 1e-12
 
 
 def test_orthogonal_frame_degenerate_gram():
     # indefinite metric: the frame gram collapses on the cone x1^2/8+x2*x3/2=0
-    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
+    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric(), pt(0.0, 1.0, 0.0))
     with pytest.raises(DegeneracyError, match="degenerate"):
-        ctx.gram_inv_at(pt(0.0, 1.0, 0.0))
+        ctx.gram_inv_at()
 
 
 def test_orthogonal_frame_sl2r_generic_point():
-    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
-    p = pt(1.0, 0.0, 0.0)
+    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric(), pt(1.0, 0.0, 0.0))
     # frame vector is 2*lambda and the gram is 4x the invariant function
-    assert np.allclose(ctx.frame_at(p)[0][:, 0], [2.0, 0.0, 0.0])
-    assert np.allclose(ctx.gram_at(p)[0], [[0.5]])
+    assert np.allclose(ctx.frame_at()[0][:, 0], [2.0, 0.0, 0.0])
+    assert np.allclose(ctx.gram_at()[0], [[0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +263,26 @@ def test_leaf_basis_canonical():
 
 def test_leaf_operator_kernel_and_image():
     # A = P g: kernel the orthogonal distribution, image the leaf tangent
-    ctx = ChartContext(canonical4(), shear_metric())
     p = pt(0.2, 0.5, -1.0, 3.0)
-    A = ctx.bivector_at(p)[0] @ ctx.metric_at(p)[0]
-    assert np.max(np.abs(A @ ctx.frame_at(p)[0])) < 1e-12
+    ctx = ChartContext(canonical4(), shear_metric(), p)
+    A = ctx.bivector_at()[0] @ ctx.metric_at()[0]
+    assert np.max(np.abs(A @ ctx.frame_at()[0])) < 1e-12
     assert bivector_rank(A) == 2
 
 
 def test_projectors_split_identity():
     m = shear_metric()
-    ctx = ChartContext(canonical4(), m)
     p = pt(0.1, 0.8, 0.0, -2.0)
-    v, h = ctx.projector_v(p)[0], ctx.projector_h(p)[0]
+    ctx = ChartContext(canonical4(), m, p)
+    v, h = ctx.projector_v()[0], ctx.projector_h()[0]
     assert np.allclose(v + h, np.eye(4))
     assert np.allclose(v @ v, v)
     assert np.allclose(h @ h, h)
     # v fixes the bivector columns, h kills them; the opposite for the frame
-    P = ctx.bivector_at(p)[0]
+    P = ctx.bivector_at()[0]
     assert np.allclose(v @ P, P)
     assert np.max(np.abs(h @ P)) < 1e-12
-    frame = ctx.frame_at(p)[0]
+    frame = ctx.frame_at()[0]
     assert np.allclose(h @ frame, frame)
     assert np.max(np.abs(v @ frame)) < 1e-12
     # g-self-adjoint: g v = (g v)^T
@@ -296,21 +303,20 @@ def test_projectors_rank_mismatch():
         expected_rank=2)
     at_zero = Grid(center=[0.0, 5.0, 0.0, 0.0], half_width=0.0, points_per_axis=1)
     with pytest.raises(RegularityError) as err:
-        validate_poisson(ps, at_zero)
+        grid_validation(ps, at_zero)
     assert "rank 0" in str(err.value)
     assert len(err.value.points) == 1
     # fine away from the degeneracy locus
-    ctx = ChartContext(ps, MetricField.constant(np.eye(4)))
-    p = pt(2.0, 5.0, 0.0, 0.0)
-    assert np.allclose(ctx.projector_v(p)[0] + ctx.projector_h(p)[0], np.eye(4))
-    assert np.allclose(ctx.projector_v(p)[0], np.diag([1.0, 1.0, 0.0, 0.0]))
+    ctx = ChartContext(ps, MetricField.constant(np.eye(4)), pt(2.0, 5.0, 0.0, 0.0))
+    assert np.allclose(ctx.projector_v()[0] + ctx.projector_h()[0], np.eye(4))
+    assert np.allclose(ctx.projector_v()[0], np.diag([1.0, 1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
 # grid validation
 
 def test_validate_poisson_canonical():
-    report = validate_poisson(canonical4(), Grid.cube([0.0] * 4, 1.0, 3))
+    report = grid_validation(canonical4(), Grid.cube([0.0] * 4, 1.0, 3))
     assert report.ok
     assert report.rank == 2
     assert report.antisymmetry.max_residual == 0.0
@@ -320,7 +326,7 @@ def test_validate_poisson_canonical():
 
 
 def test_validate_poisson_so3():
-    report = validate_poisson(
+    report = grid_validation(
         so3_structure(), Grid(center=[0.0, 0.0, 1.0], half_width=0.25,
                               points_per_axis=3))
     assert report.ok
@@ -329,7 +335,7 @@ def test_validate_poisson_so3():
 
 
 def test_validate_poisson_se3():
-    report = validate_poisson(
+    report = grid_validation(
         se3_structure(),
         Grid(center=[1.0, 0.0, 0.0, 0.0, 1.0, 0.0], half_width=0.25,
              points_per_axis=2))
@@ -346,7 +352,7 @@ def test_validate_poisson_jacobi_failure():
         ["0", "-x2", "0"],
     ])
     ps = PoissonStructure(biv, [dsl.scalar_field("x3", 3)], expected_rank=2)
-    report = validate_poisson(ps, Grid.cube([0.0] * 3, 0.5, 2))
+    report = grid_validation(ps, Grid.cube([0.0] * 3, 0.5, 2))
     assert not report.ok
     assert report.jacobi.max_residual == pytest.approx(1.0, abs=1e-9)
     assert not report.casimir_annihilation.holds  # x3 is not invariant here
@@ -363,29 +369,16 @@ def test_validate_poisson_rank_error():
         biv, [dsl.scalar_field("x3", 4), dsl.scalar_field("x4", 4)],
         expected_rank=2)
     with pytest.raises(RegularityError, match="rank 0"):
-        validate_poisson(ps, Grid.cube([0.0] * 4, 1.0, 3))  # grid crosses x1 = 0
+        grid_validation(ps, Grid.cube([0.0] * 4, 1.0, 3))  # grid crosses x1 = 0
 
 
 def test_validate_poisson_fd_scheme():
     scheme = DerivativeScheme(kind=CENTRAL_4)
-    report = validate_poisson(so3_structure(),
-                              Grid(center=[0.0, 0.0, 1.0], half_width=0.25,
-                                   points_per_axis=2),
-                              scheme=scheme, tol=1e-8)
+    report = grid_validation(so3_structure(),
+                             Grid(center=[0.0, 0.0, 1.0], half_width=0.25,
+                                  points_per_axis=2),
+                             scheme, tol=1e-8)
     assert report.ok
-
-
-def test_validate_poisson_reads_a_matching_context():
-    ps = so3_structure()
-    grid = Grid(center=[0.0, 0.0, 1.0], half_width=0.25, points_per_axis=2)
-    fd = DerivativeScheme(kind=CENTRAL_4)
-    ctx = ChartContext(ps, MetricField.constant(np.eye(3)), fd)
-    with pytest.raises(ValueError, match="scheme"):
-        validate_poisson(ps, grid, ctx=ctx)
-    with pytest.raises(ValueError, match="structure"):
-        validate_poisson(so3_structure(), grid, fd, ctx=ctx)
-    report = validate_poisson(ps, grid, fd, ctx=ctx)
-    assert report.to_dict() == validate_poisson(ps, grid, fd).to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -396,47 +389,52 @@ def test_context_matches_pointwise_constructions():
     # v = B (B^T g B)^{-1} B^T g, and the frame g^{-1} dc^i of x1, x2
     ps = canonical4()
     m = shear_metric()
-    ctx = ChartContext(ps, m)
     p = pt(0.3, 0.9, -0.4, 1.1)
+    ctx = ChartContext(ps, m, p)
     P = ps.bivector.components(p)[0]
     g = m.components(p)[0]
     B = P[:, independent_column_mask(P)]
     v = B @ np.linalg.inv(B.T @ g @ B) @ B.T @ g
-    assert np.allclose(ctx.projector_v(p)[0], v, atol=1e-12)
-    assert np.allclose(ctx.projector_h(p)[0], np.eye(4) - v, atol=1e-12)
+    assert np.allclose(ctx.projector_v()[0], v, atol=1e-12)
+    assert np.allclose(ctx.projector_h()[0], np.eye(4) - v, atol=1e-12)
     frame = np.linalg.inv(g)[:, :2]
-    assert np.allclose(ctx.frame_at(p)[0], frame)
-    assert np.allclose(ctx.gram_at(p)[0], frame.T @ g @ frame)
-    assert np.allclose(ctx.metric_inv_at(p)[0] @ ctx.metric_at(p)[0], np.eye(4),
+    assert np.allclose(ctx.frame_at()[0], frame)
+    assert np.allclose(ctx.gram_at()[0], frame.T @ g @ frame)
+    assert np.allclose(ctx.metric_inv_at()[0] @ ctx.metric_at()[0], np.eye(4),
                        atol=1e-12)
 
 
 def test_context_memoizes_values():
-    ctx = ChartContext(canonical4(), shear_metric())
-    p = pt(0.0, 0.5, 0.0, 0.0)
-    first = ctx.projector_h(p)
-    assert ctx.projector_h(p) is first
-    assert ctx.projector_h(pt(0.0, 0.5, 0.0, 0.0)) is first  # same coords
-    other = ctx.projector_h(pt(0.0, 0.6, 0.0, 0.0))
-    assert other is not first
+    ctx = ChartContext(canonical4(), shear_metric(), pt(0.0, 0.5, 0.0, 0.0))
+    first = ctx.projector_h()
+    assert ctx.projector_h() is first
+    assert ctx.frame_bracket(0, 1, "h", "h") is ctx.frame_bracket(0, 1, "h", "h")
+    # a context holds one batch: other points need a context of their own
+    other = ChartContext(ctx.structure, ctx.metric, pt(0.0, 0.6, 0.0, 0.0))
+    assert not np.array_equal(other.projector_h(), first)
 
 
 def test_context_frame_keeps_exact_derivatives():
-    ctx = ChartContext(canonical4(), MetricField.from_contravariant(np.eye(4)))
-    p = pt(0.0, 0.0, 0.0, 0.0)
-    jac = ctx.frame_jacobian(0, p)[0]
+    ctx = ChartContext(canonical4(), MetricField.from_contravariant(np.eye(4)),
+                       pt(0.0, 0.0, 0.0, 0.0))
+    jac = ctx.frame_jacobian(0)[0]
     assert np.array_equal(jac, np.zeros((4, 4)))
     # the bracket reads the frame's exact jet, not a stencil of the frame
-    assert np.array_equal(ctx._frame_variant(0, "plain", p)[1], ctx.frame_jacobian(0, p))
-    assert np.array_equal(ctx.frame_bracket(0, 1, "plain", "plain", p)[0], np.zeros(4))
+    assert np.array_equal(ctx._frame_variant(0, "plain")[1], ctx.frame_jacobian(0))
+    assert np.array_equal(ctx.frame_bracket(0, 1, "plain", "plain")[0], np.zeros(4))
 
 
 def test_context_gram_degeneracy_propagates():
-    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric())
+    ctx = ChartContext(sl2r_structure(), sl2r_killing_metric(), pt(0.0, 1.0, 0.0))
     with pytest.raises(DegeneracyError):
-        ctx.projector_h(pt(0.0, 1.0, 0.0))
+        ctx.projector_h()
+
+
+def test_context_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="empty point batch"):
+        ChartContext(canonical4(), shear_metric(), np.zeros((0, 4)))
 
 
 def test_context_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        ChartContext(so3_structure(), MetricField.constant(np.eye(4)))
+        ChartContext(so3_structure(), MetricField.constant(np.eye(4)), pt(0.0, 0.0, 1.0))

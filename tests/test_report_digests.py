@@ -158,7 +158,7 @@ def closure(field):
 def with_closures(config):
     """The config with every input field (g, P, Casimirs, scales) a closure."""
     structure = config.structure
-    scales = ChartContext(structure, config.metric, config.scheme).scales
+    scales = ChartContext(structure, config.metric, config.grid.sample()).scales
     return replace(
         config,
         structure=PoissonStructure(

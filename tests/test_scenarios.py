@@ -360,15 +360,15 @@ def test_run_deterministic_in_process():
 @pytest.mark.parametrize("name, exit_code",
                          [("model4d-atan", 1), ("so3", 0), ("se3", 0)])
 def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch):
-    # a scheme differentiates only the input fields, on the grid, so the
-    # context sees the grid and, for an algebra, the integral-surface
-    # samples; g^-1 is built once per batch, Christoffel symbols once, and
-    # the bivector is differentiated once
+    # a scheme differentiates only the input fields, so a run builds one
+    # context over the grid and, for an algebra, one over the
+    # integral-surface samples; g^-1 is built once per context, Christoffel
+    # symbols once, and the bivector is differentiated once
     config = load_scenario(name)
     config = replace(config,
                      grid=Grid(config.grid.center, config.grid.half_width, 2),
                      scheme=DerivativeScheme(kind=CENTRAL_4, step=config.scheme.step))
-    batches = set()
+    contexts = []
     calls = {"inverse_metric": 0, "christoffel": 0, "bivector_partials": 0}
 
     def counted(module, name):
@@ -382,21 +382,22 @@ def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch)
     counted(context, "inverse_metric")
     counted(metric, "inverse_metric")
     counted(context, "christoffel")
-    cached, partial = context.ChartContext._cached, geometry.partial_derivative
+    init, partial = context.ChartContext.__init__, geometry.partial_derivative
 
-    def cached_batch(self, tag, q, build):
-        batches.add(q.tobytes())
-        return cached(self, tag, q, build)
+    def built(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
 
     def partial_of(field, *args):
         calls["bivector_partials"] += field is config.structure.bivector
         return partial(field, *args)
-    monkeypatch.setattr(context.ChartContext, "_cached", cached_batch)
+    monkeypatch.setattr(context.ChartContext, "__init__", built)
     monkeypatch.setattr(geometry, "partial_derivative", partial_of)
 
     assert run(config).exit_code == exit_code
     expected = 1 if config.algebra is None else 2
-    assert len(batches) == expected
+    assert len(contexts) == expected
+    assert np.array_equal(contexts[0].q, config.grid.sample().coords)
     assert calls == {"inverse_metric": expected, "christoffel": 1,
                      "bivector_partials": config.dim}
 
@@ -537,6 +538,26 @@ def test_cli_overflowing_grid_box_is_a_usage_error(capsys, name, center):
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("step", [5e-324, 1e-17])
+def test_cli_step_below_the_coordinate_resolution_is_a_config_error(tmp_path, capsys, step):
+    # 1 + step rounds to 1: the stencil could not move the coordinates, and
+    # the run used to end in a gram DegeneracyError that named the wrong fault
+    doc = chart_config(scheme={"kind": "central-4", "step": step})
+    assert main(["check", write_config(tmp_path, doc)]) == 3
+    assert "configuration error: scheme: " in capsys.readouterr().err
+    assert main(["check", "euclid4", "--scheme", "central-4", "--fd-step", str(step)]) == 3
+    assert "configuration error: scheme override: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["symbolic", "central-4"])
+def test_cli_all_zero_metric_is_a_typed_degeneracy(tmp_path, capsys, scheme):
+    doc = chart_config(metric={"kind": "matrix", "entries": [["0"] * 4] * 4})
+    assert main(["check", write_config(tmp_path, doc), "--scheme", scheme]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid run: DegeneracyError: metric at ")
+    assert "unexpected" not in err
 
 
 def test_cli_degenerate_grid_exits_two(capsys):
