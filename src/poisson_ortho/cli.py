@@ -73,7 +73,7 @@ def _override_grid(config: ScenarioConfig, args) -> Grid:
     try:
         return Grid(center=center, half_width=half_width,
                     points_per_axis=points)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"grid override: {exc}") from None
 
 

@@ -16,15 +16,14 @@ coframe scale. An input's partial along an axis outside its ``reads``
 exact zero under every scheme. Along the others, under ``symbolic`` an
 expression or constant input is differentiated exactly; under the
 ``central-*`` schemes, or for a plain numeric field, whose reads are
-unknown, the input is differenced by one stencil per axis over the batch,
-which is one evaluation of the input over the stacked shifted copies of
-the batch. A differenced Casimir is evaluated once for its gradient, all
-read axes stacked, and once per read outer axis for its Hessian
-(``geometry.stencil_gradient`` and ``stencil_hessian``). A stencilled
-input with a skipped axis is also evaluated once on the batch itself,
-which no central stencil reads, so a domain fault there still raises.
-The context keeps those partials and builds every other derivative from
-them by the product rule:
+unknown, the input is differenced by ``geometry.jacobian``: one
+evaluation of the input over the shifted copies of the batch for every
+read axis stacked, with the batch itself stacked last when an axis is
+skipped, so a domain fault there still raises. A differenced Casimir's
+gradient is that jacobian; its Hessian takes one evaluation per read
+outer axis (``geometry.stencil_hessian``). The context keeps those
+partials and builds every other derivative from them by the product
+rule:
 
 * the coframe omega^i = s_i dc^i and its partials
   d(s_i dc^i) = ds_i (x) dc^i + s_i d(dc^i), from the Casimir gradients and
@@ -59,7 +58,7 @@ import numpy as np
 from . import dsl
 from .geometry import (
     DEFAULT_SCHEME, DerivativeScheme, Points, is_exact, jacobian, lie_bracket,
-    matvec, stencil_gradient, stencil_hessian,
+    matvec, stencil_hessian,
 )
 from .metric import (
     Christoffel, MetricField, christoffel, covariant_derivative_bivector,
@@ -72,11 +71,12 @@ from .poisson import PoissonStructure, _scale_field, check_gram_nondegenerate
 def _casimir_derivatives(casimir, scheme):
     """(gradient, hessian) of a Casimir: q -> dc as (n, dim) and
     q -> d_l (dc)_s as [n, l, s]. An exact Casimir's gradient is an exact
-    field; a differenced one takes the flat stencils."""
+    field; a differenced one is its jacobian, and its Hessian the flat
+    stencils of ``stencil_hessian``."""
     if is_exact(casimir, scheme):
         gradient = dsl.gradient_field(casimir, scheme)
         return gradient.components, lambda q: jacobian(gradient, q, scheme)
-    return (lambda q: stencil_gradient(casimir, q, scheme),
+    return (lambda q: jacobian(casimir, q, scheme),
             lambda q: stencil_hessian(casimir, q, scheme))
 
 
@@ -290,12 +290,18 @@ class ChartContext:
     # -- second-order scalars on casimirs and frame ---------------------
 
     def casimir_sharp_at(self) -> np.ndarray:
-        """Raised Casimir gradients g^-1 dc^i as columns, (..., dim, codim)."""
+        """Raised Casimir gradients g^-1 dc^i as columns, (..., dim, codim):
+        the frame when there are no coframe scales."""
+        if self.scales is None:
+            return self.frame_at()
         return self._cached(
             "casimir_sharp", lambda: self.metric_inv_at() @ self.gradient_at().swapaxes(1, 2))
 
     def casimir_sharp_jacobian_at(self) -> np.ndarray:
-        """d_l (g^-1 dc^i)^m as [..., l, m, i]."""
+        """d_l (g^-1 dc^i)^m as [..., l, m, i]: the frame's jet when there
+        are no coframe scales."""
+        if self.scales is None:
+            return self._frame_jet()
         return self._cached(
             "casimir_sharp_jet",
             lambda: self._raised_jet(self.gradient_jacobian_at().swapaxes(-1, -2),

@@ -172,10 +172,6 @@ class TensorField:
         return cls(dim, variance, lambda q: np.broadcast_to(arr, (len(q),) + expected),
                    partial=make_zero, constant=arr)
 
-    @classmethod
-    def zero(cls, dim, variance) -> "TensorField":
-        return cls.constant(dim, variance, np.zeros((dim,) * len(variance)))
-
     @property
     def shape(self):
         return (self.dim,) * len(self.variance)
@@ -275,15 +271,9 @@ def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeSchem
     Exactly zero, under every scheme, along an axis outside the field's
     ``reads``: a broadcast view of zeros, as a constant field's components
     are, and nothing is evaluated. Otherwise exact when the scheme allows it
-    and the field carries a derivative hook, and else a central stencil
-    with each point's own step. One stencil is one evaluation of the field:
-    the shifted copies of the batch are stacked into one (k n, dim) array,
-    -2h, -h, +h, +2h for central-4 and +h, -h for central-2. A check
-    stencils only its input fields (a differenced scalar goes through
-    ``stencil_gradient`` and ``stencil_hessian``, with the same offsets,
-    steps and arithmetic); the context builds every composite derivative
-    from their partials as arrays. A non-finite stencil value raises
-    EvaluationError at the first offending shifted point in that order.
+    and the field carries a derivative hook, and else ``central_stencil``
+    along that one axis with each point's own step. A non-finite stencil
+    value raises EvaluationError at the first offending shifted point.
     """
     if not (0 <= axis < field.dim):
         raise ValueError(f"axis {axis} out of range for dim {field.dim}")
@@ -291,46 +281,32 @@ def partial_derivative(field: TensorField, p, axis: int, scheme: DerivativeSchem
         return np.broadcast_to(np.zeros(field.shape), (len(p),) + field.shape)
     if is_exact(field, scheme):
         return field.partial_field(axis).components(p)
-    return central_stencil(field.components, p, axis, scheme.step_for(p[:, axis]),
-                           scheme.kind)
+    return central_stencil(field.components, p, [axis], scheme.step_for(p[:, [axis]]),
+                           scheme.kind)[:, 0]
 
 
-def central_stencil(evaluate, p, axis: int, h, kind: str) -> np.ndarray:
-    """The central difference along ``axis`` of an array function at each
-    row of p, with the steps h (n,) of the rows: ``evaluate`` maps an
-    (N, dim) array to values with a leading axis of length N, and is called
-    once, on the stacked shifted copies of p in the order of the offsets."""
-    deltas = _offsets(h, kind)
-    values = evaluate(_shifted(p, [axis], deltas[..., None]))
-    values = values.reshape((len(deltas), len(p)) + values.shape[1:])
-    return _combine(values, h.reshape((-1,) + (1,) * (values.ndim - 2)), kind)
+def central_stencil(evaluate, p, axes, h, kind: str, rows: bool = False) -> np.ndarray:
+    """The central differences along each of ``axes`` of an array function
+    at each row of p, (n, dim), as [n, k, ...] for k axes, with the steps
+    h (n, k) of the rows.
 
-
-def stencil_gradient(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndarray:
-    """The stencilled gradient d_s c of a scalar field at each row of p, (n, dim).
-
-    Exactly zero along every axis outside the field's ``reads``, and equal
-    bit for bit to ``partial_derivative`` on the others, in one evaluation
-    of the field over their stacked stencils, axis-major, so a non-finite
-    value raises EvaluationError at the point the per-axis stencils would
-    meet first; a non-finite gradient raises at its row of p. A skipped
-    axis's stencil would have read the values at the rows of p themselves,
-    which no central stencil reads, so when an axis is skipped the rows of
-    p are stacked after the stencils: a domain fault there still raises.
+    ``evaluate`` maps an (N, dim) array to values with a leading axis of
+    length N and is called once, on the shifted copies of p for every axis
+    stacked axis-major, then offset-major (-2h, -h, +h, +2h for central-4
+    and +h, -h for central-2), the order the per-axis stencils meet them
+    in, so a fault raises at the point those would meet first. With
+    ``rows`` the rows of p themselves, which no central stencil reads, are
+    stacked last and evaluated too, so a domain fault there still raises.
     """
-    n, dim = p.shape
-    axes = _differenced_axes(scalar)
-    h = scheme.step_for(p[:, axes])
-    deltas = _offsets(h, scheme.kind)
+    k, n = len(axes), len(p)
+    deltas = _offsets(h, kind)
     batch = _shifted(p, axes, deltas)
-    if len(axes) < dim:
+    if rows:
         batch = np.concatenate((batch, p))
-    values = scalar.components(batch)[:len(axes) * len(deltas) * n]
-    out = np.zeros((n, dim))
-    out[:, axes] = _combine(values.reshape(len(axes), len(deltas), n).transpose(1, 2, 0),
-                            h, scheme.kind)
-    _require_finite(out, p)
-    return out
+    values = evaluate(batch)[:k * len(deltas) * n]
+    values = values.reshape((k, len(deltas), n) + values.shape[1:])
+    return _combine(np.moveaxis(values, 0, 2),
+                    h.reshape(h.shape + (1,) * (values.ndim - 3)), kind)
 
 
 def stencil_hessian(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndarray:
@@ -338,14 +314,15 @@ def stencil_hessian(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndar
 
     Exactly zero on every pair (l, s) with an axis outside the field's
     ``reads``; on the others equal bit for bit to the stencil along l of
-    ``stencil_gradient``, the stencil of a stencil: the inner step on the
-    diagonal is that of the shifted coordinate, step_for(x_l + a h_l). The
-    points of (l, s) and (s, l) coincide, so each is evaluated once: one
-    evaluation of the field per read outer axis l covers every read inner
-    axis s >= l, and its values are combined in both orders. The skipped
-    pairs would have read the values of ``stencil_gradient``'s points,
-    which it evaluates. Non-finite values and gradients raise
-    EvaluationError at the point the nested stencils would meet first.
+    the stencilled gradient, the stencil of a stencil: the inner step on
+    the diagonal is that of the shifted coordinate, step_for(x_l + a h_l).
+    The points of (l, s) and (s, l) coincide, so each is evaluated once:
+    one evaluation of the field per read outer axis l covers every read
+    inner axis s >= l, and its values are combined in both orders. The
+    skipped pairs would have read the values at the gradient's stencil
+    points, which ``jacobian`` of the field evaluates. Non-finite values
+    and gradients raise EvaluationError at the point the nested per-axis
+    stencils would meet first.
     """
     (n, dim), kind = p.shape, scheme.kind
     m = 2 if kind == CENTRAL_2 else 4
@@ -375,14 +352,26 @@ def stencil_hessian(scalar: TensorField, p, scheme: DerivativeScheme) -> np.ndar
 def jacobian(field: TensorField, p, scheme: DerivativeScheme = DEFAULT_SCHEME):
     """All partials stacked: result[k, axis, ...] = d_axis components at point k.
 
-    A stencilled field that skips an axis is first evaluated once on the
-    rows of p, the values that axis's stencil would have read, so a domain
-    fault there still raises.
+    A stencilled field is evaluated once, by ``central_stencil`` over every
+    axis it reads, with the rows of p stacked last when it skips an axis;
+    its partials equal ``partial_derivative``'s bit for bit, and a
+    non-finite partial raises EvaluationError at its row of p. Exact
+    partials, and the zeros of a field that reads no axis, are
+    ``partial_derivative``'s, stacked as they come: its broadcast zero
+    views give a strided array, and an einsum over it sums in another
+    order than over a contiguous one.
     """
-    if not is_exact(field, scheme) and len(_differenced_axes(field)) < field.dim:
-        field.components(p)
-    return np.stack([partial_derivative(field, p, a, scheme)
-                     for a in range(field.dim)], axis=1)
+    exact, axes = is_exact(field, scheme), _differenced_axes(field)
+    if not exact:
+        partials = central_stencil(field.components, p, axes, scheme.step_for(p[:, axes]),
+                                   scheme.kind, rows=len(axes) < field.dim)
+    if exact or not len(axes):
+        return np.stack([partial_derivative(field, p, a, scheme)
+                         for a in range(field.dim)], axis=1)
+    out = np.zeros((len(p), field.dim) + field.shape)
+    out[:, axes] = partials
+    _require_finite(out, p)
+    return out
 
 
 def lie_bracket(x, dx, y, dy):

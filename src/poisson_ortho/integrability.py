@@ -146,8 +146,8 @@ def equivalence_condition_values(ctx: ChartContext) -> dict:
         diff = _vecmat(xi_i, cov_frame[j]) - _vecmat(xi_j, cov_frame[i])
         vals.record("frame-derivative", matvec(P, matvec(g, diff)))
 
-        bracket = _vecmat(xi_i, jacs[j]) - _vecmat(xi_j, jacs[i])
-        vals.record("coframe-bracket-closure", matvec(P, matvec(g, bracket)))
+        vals.record("coframe-bracket-closure",
+                    matvec(P, matvec(g, ctx.frame_bracket(i, j, "plain", "plain"))))
 
         vals.record("frobenius-curvature", matvec(
             ctx.projector_v(), ctx.frame_bracket(i, j, "h", "h")))

@@ -393,11 +393,11 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
     ``surface`` maps k parameter arrays of length m (k >= 1) to the (m, dim)
     chart points, and ``samples`` holds the m parameter tuples, an (m, k)
     array (or m numbers when k = 1). The surface is evaluated once at the
-    samples and once per parameter for the tangents, a 4th-order central
-    stencil with the derivative scheme's step rule. At each sample the
-    tangents are decomposed against the frame columns by one least-squares
-    solve; the residual is the norm of the out-of-span component (maximum
-    over the tangent directions). A rank-deficient frame along the surface
+    samples and once for all the tangents, the 4th-order central stencils
+    along every parameter stacked, with the derivative scheme's step rule.
+    At each sample the tangents are decomposed against the frame columns
+    by one least-squares solve; the residual is the norm of the out-of-span
+    component (maximum over the tangent directions). A rank-deficient frame along the surface
     makes the decomposition meaningless and raises instead, naming the
     first such sample. The frame is read from a context of its own over the
     surface points, built from ``ctx``'s structure, metric and scheme.
@@ -411,10 +411,9 @@ def verify_integral_surface(surface, ctx: ChartContext, samples,
 
     on_surface = ChartContext(ctx.structure, ctx.metric, at(params), ctx.scheme)
     frames = on_surface.frame_at()
-    steps = ctx.scheme.step_for(params)
     # tangents[k, :, j]: d surface / d param j at sample k
-    tangents = np.stack([central_stencil(at, params, j, steps[:, j], CENTRAL_4)
-                         for j in range(params.shape[1])], axis=2)
+    tangents = central_stencil(at, params, range(params.shape[1]),
+                               ctx.scheme.step_for(params), CENTRAL_4).swapaxes(1, 2)
     sigma = np.linalg.svd(frames, compute_uv=False)
     degenerate = sigma[:, -1] <= 1e-9 * sigma[:, 0]
     if degenerate.any():

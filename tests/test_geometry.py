@@ -10,8 +10,7 @@ from poisson_ortho import dsl
 from poisson_ortho.errors import EvaluationError, ExprDomainError
 from poisson_ortho.geometry import (
     CENTRAL_2, CENTRAL_4, SCHEME_KINDS, DerivativeScheme, Grid, Point, Points, TensorField,
-    jacobian, lie_bracket, partial_derivative, pointwise_max_abs, stencil_gradient,
-    stencil_hessian,
+    jacobian, lie_bracket, partial_derivative, pointwise_max_abs, stencil_hessian,
 )
 from test_dsl import _exprs
 
@@ -265,10 +264,19 @@ COORDS = st.lists(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
                   min_size=1, max_size=4)
 
 
+def per_axis_gradient(scalar, scheme):
+    """The gradient closure of per-axis stencils, one ``partial_derivative``
+    per axis: the reference of the flat gradient."""
+    return TensorField(scalar.dim, "l", lambda q: np.stack(
+        [partial_derivative(scalar, q, s, scheme) for s in range(scalar.dim)], axis=1))
+
+
 def nested_hessian(scalar, p, scheme):
-    """The stencil of the gradient's stencil closure: the reference of the
-    flat Hessian."""
-    return jacobian(dsl.gradient_field(scalar, scheme), p, scheme)
+    """The per-axis stencils of the per-axis gradient closure: the
+    reference of the flat Hessian, meeting points in the nested order."""
+    gradient = per_axis_gradient(scalar, scheme)
+    return np.stack([partial_derivative(gradient, p, l, scheme)
+                     for l in range(scalar.dim)], axis=1)
 
 
 @contextlib.contextmanager
@@ -316,7 +324,7 @@ def test_flat_casimir_stencils_are_bit_identical_to_per_axis_and_nested_ones(
 
     per_axis = np.stack([partial_derivative(reference, p, s, scheme) for s in range(3)], axis=1)
     with evaluations_of(scalar) as batches:
-        gradient = stencil_gradient(scalar, p, scheme)
+        gradient = jacobian(scalar, p, scheme)
     assert np.array_equal(gradient[:, read], per_axis[:, read])
     assert is_plus_zero(gradient[:, unread])
     # one evaluation: the read axes' stencils, then the rows of p if any is skipped
@@ -346,12 +354,12 @@ def test_unread_axes_give_exact_zeros_and_read_axes_the_full_derivatives(entries
     with np.errstate(all="ignore"):
         try:
             want = ([partial_derivative(closure(vector), p, a, scheme) for a in range(4)],
-                    stencil_gradient(closure(scalar), p, scheme),
+                    jacobian(closure(scalar), p, scheme),
                     stencil_hessian(closure(scalar), p, scheme))
         except (EvaluationError, ExprDomainError):
             assume(False)
         got = ([partial_derivative(vector, p, a, scheme) for a in range(4)],
-               stencil_gradient(scalar, p, scheme),
+               jacobian(scalar, p, scheme),
                stencil_hessian(scalar, p, scheme))
     # the axes some entry references, as the test reads them
     vector_reads = set().union(*map(dsl.variables_used, entries))
@@ -392,7 +400,7 @@ def test_flat_casimir_stencils_fail_at_the_nested_stencils_point(kind, coords, d
         return np.sin(q[:, 0]) * q[:, 1] + q[:, 2]
 
     clean = TensorField(3, "", smooth)
-    dsl.gradient_field(clean, scheme).components(p)
+    per_axis_gradient(clean, scheme).components(p)
     nested_hessian(clean, p, scheme)
     read = np.concatenate(read)
     picks = st.tuples(st.sampled_from(range(len(read))), st.sampled_from((math.nan, 1e308)))
@@ -406,7 +414,7 @@ def test_flat_casimir_stencils_fail_at_the_nested_stencils_point(kind, coords, d
 
     scalar = TensorField(3, "", poisoned)
     for flat, reference in (
-            (stencil_gradient, lambda: dsl.gradient_field(scalar, scheme).components(p)),
+            (jacobian, lambda: per_axis_gradient(scalar, scheme).components(p)),
             (stencil_hessian, lambda: nested_hessian(scalar, p, scheme))):
         got, want = _outcome(lambda: flat(scalar, p, scheme)), _outcome(reference)
         assert type(got) is type(want)
@@ -414,6 +422,89 @@ def test_flat_casimir_stencils_fail_at_the_nested_stencils_point(kind, coords, d
             assert got == want
         else:
             assert np.array_equal(got, want, equal_nan=True)
+
+
+def per_axis_jacobian(field, p, scheme):
+    """The per-axis stencils of a field, one shifted batch at a time in the
+    order they meet points, zeros on its unread axes, then its rows of p
+    when it skips an axis and a non-finite partial's row: the reference of
+    the flat jacobian."""
+    read = field.reads
+    partials = [per_offset_partial(field, p, a, scheme) if a in read
+                else np.zeros((len(p),) + field.shape) for a in range(field.dim)]
+    if len(read) < field.dim:
+        field.components(p)
+    out = np.stack(partials, axis=1)
+    finite = np.isfinite(out.reshape(len(p), -1)).all(axis=1)
+    if not finite.all():
+        bad = Point(p[int(np.argmin(finite))])
+        raise EvaluationError(f"non-finite partial at {bad!r}", point=bad)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("u", "ll")).flatmap(lambda variance: st.tuples(
+           st.just(variance),
+           st.lists(_exprs(max_axis=3), min_size=3 ** len(variance),
+                    max_size=3 ** len(variance)))),
+       st.sampled_from((CENTRAL_2, CENTRAL_4)),
+       st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                min_size=1, max_size=3),
+       st.data())
+def test_jacobian_is_one_evaluation_of_the_per_axis_stencils(field_entries, kind, coords, data):
+    # random vector and matrix expression fields on a 3-d chart: an entry
+    # may read any subset of x1..x3, so some fields skip axes and some not
+    variance, entries = field_entries
+    scheme = DerivativeScheme(kind=kind, step=1e-3)
+    entries = np.array(entries, dtype=object).reshape((3,) * len(variance))
+    p = np.array(coords)
+    m = 2 if kind == CENTRAL_2 else 4
+
+    def build(fault=None):
+        field = dsl.expr_field(3, variance, entries)
+        if fault is not None:
+            evaluate = field._evaluate
+            field._evaluate = lambda q: fault(q, evaluate(q))
+        return field
+
+    field = build()
+    read = sorted(field.reads)
+    unread = [a for a in range(3) if a not in field.reads]
+    with np.errstate(all="ignore"):
+        try:
+            want = per_axis_jacobian(build(), p, scheme)
+        except (EvaluationError, ExprDomainError):
+            assume(False)
+        with evaluations_of(field) as batches:
+            got = jacobian(field, p, scheme)
+    assert np.array_equal(got[:, read], want[:, read])
+    assert is_plus_zero(got[:, unread])
+    # one evaluation: the read axes' stencils, then the rows of p if any is skipped
+    assert batches == [(len(read) * m + (1 if unread else 0)) * len(p)]
+
+    # NaNs, or finite values whose difference overflows, at some of the
+    # points the stencils read: the first fault the per-axis stencils meet wins
+    met = []
+    with np.errstate(all="ignore"):
+        per_axis_jacobian(build(lambda q, values: met.append(q.copy()) or values), p, scheme)
+    met = np.concatenate(met)
+    picks = st.tuples(st.sampled_from(range(len(met))), st.sampled_from((math.nan, 1e308)))
+    bad = [(met[i], value) for i, value in data.draw(st.lists(picks, min_size=1, max_size=3))]
+
+    def poison(q, values):
+        values = np.array(values)
+        for point, value in bad:
+            values[(q == point).all(axis=1)] = value
+        return values
+
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: jacobian(build(poison), p, scheme))
+        want = _outcome(lambda: per_axis_jacobian(build(poison), p, scheme))
+    assert type(got) is type(want)
+    if isinstance(want, Point):
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

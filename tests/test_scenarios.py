@@ -177,6 +177,11 @@ def test_cli_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, d
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_grid_points_too_large_for_a_float_is_a_config_error(capsys):
+    assert main(["check", "euclid4", "--grid-points", str(HUGE)]) == 3
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("tol_zero", True), ("points_per_axis", True), ("center", ["0.5", 0, 0, 0]),
     ("center", [False, 0, 0, 0]), ("half_width", True), ("half_width", [True, 1, 1, 1]),
@@ -363,12 +368,15 @@ def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch)
     # a scheme differentiates only the input fields, so a run builds one
     # context over the grid and, for an algebra, one over the
     # integral-surface samples; g^-1 is built once per context, Christoffel
-    # symbols once, and the bivector is differentiated once
+    # symbols once, and the bivector is differentiated once: a linear
+    # bivector by one evaluation on the stacked stencils of every axis, a
+    # constant one as dim exact zeros
     config = load_scenario(name)
     config = replace(config,
                      grid=Grid(config.grid.center, config.grid.half_width, 2),
                      scheme=DerivativeScheme(kind=CENTRAL_4, step=config.scheme.step))
-    contexts = []
+    n = len(config.grid.sample())
+    contexts, bivector_batches = [], []
     calls = {"inverse_metric": 0, "christoffel": 0, "bivector_partials": 0}
 
     def counted(module, name):
@@ -383,6 +391,7 @@ def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch)
     counted(metric, "inverse_metric")
     counted(context, "christoffel")
     init, partial = context.ChartContext.__init__, geometry.partial_derivative
+    components = geometry.TensorField.components
 
     def built(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -391,15 +400,27 @@ def test_central_check_evaluates_one_context_batch(name, exit_code, monkeypatch)
     def partial_of(field, *args):
         calls["bivector_partials"] += field is config.structure.bivector
         return partial(field, *args)
+
+    def evaluated(self, coords):
+        if self is config.structure.bivector:
+            bivector_batches.append(len(coords))
+        return components(self, coords)
     monkeypatch.setattr(context.ChartContext, "__init__", built)
     monkeypatch.setattr(geometry, "partial_derivative", partial_of)
+    monkeypatch.setattr(geometry.TensorField, "components", evaluated)
 
     assert run(config).exit_code == exit_code
     expected = 1 if config.algebra is None else 2
     assert len(contexts) == expected
     assert np.array_equal(contexts[0].q, config.grid.sample().coords)
-    assert calls == {"inverse_metric": expected, "christoffel": 1,
-                     "bivector_partials": config.dim}
+    stencils = [size for size in bivector_batches if size > n]
+    if config.algebra is None:
+        assert calls == {"inverse_metric": 1, "christoffel": 1,
+                         "bivector_partials": config.dim}
+        assert stencils == []
+    else:
+        assert calls == {"inverse_metric": 2, "christoffel": 1, "bivector_partials": 0}
+        assert stencils == [config.dim * 4 * n]
 
 
 def test_central_check_stencils_each_casimir_gradient_once(monkeypatch):
