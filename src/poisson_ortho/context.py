@@ -7,7 +7,9 @@ evaluated over a whole batch of points at once, an (n, dim) coordinate
 array. A context is bound to one batch, its ``points``, and is the single
 owner of every value there: it builds g, g^-1, the partials of g, the
 frame and the projectors once, memoized by name, and the metric functions
-take them as arrays. Values at other points need another context.
+take them as arrays. Values at other points need another context. The
+inputs are read as the structure and the metric hold them: no context
+parses or converts an input.
 
 The derivative scheme decides one thing only: how the partials of the
 input fields are obtained, that is of g, P, each Casimir gradient and each
@@ -65,7 +67,7 @@ from .metric import (
     covariant_derivative_oneform, inverse_metric, laplacian,
     lie_derivative_metric,
 )
-from .poisson import PoissonStructure, _scale_field, check_gram_nondegenerate
+from .poisson import PoissonStructure, check_gram_nondegenerate
 
 
 def _casimir_derivatives(casimir, scheme):
@@ -85,14 +87,14 @@ class ChartContext:
 
     ``points`` is the batch (a ``geometry.Points``, or an (n, dim) array
     that becomes one) and ``q`` its coordinates. The input one-forms are
-    the Casimir gradients dc^i, and ``scales`` the scalar fields s_i of the
-    coframe omega^i = s_i dc^i (None when the structure has no coframe
-    scales, and then omega^i = dc^i). The coframe is no field of its own:
-    its values and partials are built from those of the gradients and
-    scales by the product rule, so each Casimir is differentiated once.
-    Values should be read through the accessors, which take no coordinates,
-    memoize each value on first use and give arrays with a leading point
-    axis.
+    the Casimir gradients dc^i, and the structure's ``coframe_scales``, as
+    built, the scalar fields s_i of the coframe omega^i = s_i dc^i (None
+    when there are none, and then omega^i = dc^i). The coframe is no field
+    of its own: its values and partials are built from those of the
+    gradients and scales by the product rule, so each Casimir is
+    differentiated once. Values should be read through the accessors, which
+    take no coordinates, memoize each value on first use and give arrays
+    with a leading point axis.
     """
 
     def __init__(self, structure: PoissonStructure, metric: MetricField, points,
@@ -109,8 +111,6 @@ class ChartContext:
         self.codim = structure.codim
         self._values: dict = {}
         self._casimirs = [_casimir_derivatives(c, scheme) for c in structure.casimirs]
-        self.scales = (None if structure.coframe_scales is None
-                       else [_scale_field(s, self.dim) for s in structure.coframe_scales])
 
     def _cached(self, tag, build):
         value = self._values.get(tag)
@@ -155,24 +155,27 @@ class ChartContext:
     def _scale_at(self) -> np.ndarray:
         """Coframe scales s_i as (..., codim)."""
         return self._cached(
-            "scale", lambda: np.stack([s.components(self.q) for s in self.scales], axis=1))
+            "scale",
+            lambda: np.stack([s.components(self.q) for s in self.structure.coframe_scales],
+                             axis=1))
 
     def _scale_jacobian_at(self) -> np.ndarray:
         """d_l s_i as [..., l, i]."""
         return self._cached(
             "dscale",
-            lambda: np.stack([jacobian(s, self.q, self.scheme) for s in self.scales], axis=2))
+            lambda: np.stack([jacobian(s, self.q, self.scheme)
+                              for s in self.structure.coframe_scales], axis=2))
 
     def coframe_at(self) -> np.ndarray:
         """Coframe rows omega^i = s_i dc^i, shape (..., codim, dim)."""
-        if self.scales is None:
+        if self.structure.coframe_scales is None:
             return self.gradient_at()
         return self._cached(
             "coframe", lambda: self._scale_at()[..., None] * self.gradient_at())
 
     def coframe_jacobian_at(self) -> np.ndarray:
         """d_l omega^i_s as [..., l, i, s]: ds_i (x) dc^i + s_i d(dc^i)."""
-        if self.scales is None:
+        if self.structure.coframe_scales is None:
             return self.gradient_jacobian_at()
         return self._cached(
             "dcoframe",
@@ -292,7 +295,7 @@ class ChartContext:
     def casimir_sharp_at(self) -> np.ndarray:
         """Raised Casimir gradients g^-1 dc^i as columns, (..., dim, codim):
         the frame when there are no coframe scales."""
-        if self.scales is None:
+        if self.structure.coframe_scales is None:
             return self.frame_at()
         return self._cached(
             "casimir_sharp", lambda: self.metric_inv_at() @ self.gradient_at().swapaxes(1, 2))
@@ -300,7 +303,7 @@ class ChartContext:
     def casimir_sharp_jacobian_at(self) -> np.ndarray:
         """d_l (g^-1 dc^i)^m as [..., l, m, i]: the frame's jet when there
         are no coframe scales."""
-        if self.scales is None:
+        if self.structure.coframe_scales is None:
             return self._frame_jet()
         return self._cached(
             "casimir_sharp_jet",

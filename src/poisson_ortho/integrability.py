@@ -40,7 +40,7 @@ import numpy as np
 from .context import ChartContext
 from .errors import GeometryError
 from .geometry import SYMBOLIC, DerivativeScheme, matvec, pointwise_max_abs
-from .poisson import canonical_bivector, check_gram_nondegenerate, independent_column_mask
+from .poisson import canonical_bivector, independent_column_mask
 from .reports import ConditionReport
 
 DEFAULT_TOL_SYMBOLIC = 1e-6
@@ -320,8 +320,8 @@ def verdict(ctx: ChartContext, tol: float | None = None) -> Verdict:
     chart_ok = canonical_block_form_ok(ctx.bivector_at(), ctx.structure.expected_rank)
     # the orthogonal frame is only defined where the gram matrix is
     # invertible; catch degenerate points even when there are no frame
-    # pairs (codimension one)
-    check_gram_nondegenerate(ctx.gram_at(), q)
+    # pairs (codimension one), in the context's one checked inversion
+    ctx.gram_inv_at()
     vals = equivalence_condition_values(ctx)
     suff = sufficient_condition_values(ctx)
     ra, rn = covanishing_values(vals)

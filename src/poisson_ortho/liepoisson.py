@@ -191,8 +191,7 @@ def linear_poisson(sc: StructureConstants, casimirs, expected_rank: int,
     require_valid(sc)
     return PoissonStructure(
         bivector=linear_poisson_bivector(sc),
-        casimirs=[dsl.scalar_field(c, sc.dim) if isinstance(c, str) else c
-                  for c in casimirs],
+        casimirs=casimirs,
         expected_rank=expected_rank,
         coframe_scales=coframe_scales)
 

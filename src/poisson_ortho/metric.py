@@ -8,12 +8,12 @@ Index conventions (0-based axes, einsum letters in comments):
     (nabla_l P)^{ts} = d_l P^{ts} + Gamma^t_{lm} P^{ms} + Gamma^s_{lm} P^{tm}
 
 Both Christoffel arrays are symmetric in their last two slots (torsion-free)
-and metric compatibility nabla g = 0 holds by construction. Every function
-works on a batch of points (see ``geometry``) and returns arrays with a
-leading point axis. The derivative functions take g, its inverse, the
-Christoffel symbols and the differentiated tensor with its first partials
-as arrays of the same points, which callers (``context.ChartContext``)
-compute once and share.
+and metric compatibility nabla g = 0 holds by construction. A metric is held
+by g alone; ``inverse_metric`` computes g^-1 from it. Every function works
+on a batch of points (see ``geometry``) and returns arrays with a leading
+point axis. The derivative functions take g, g^-1, the Christoffel symbols
+and the differentiated tensor with its first partials as arrays of the
+same points, which callers (``context.ChartContext``) compute once and share.
 """
 
 from __future__ import annotations
@@ -35,22 +35,17 @@ DET_FLOOR_FACTOR = 1e-12
 class MetricField:
     """A pseudo-Riemannian metric: symmetric covariant 2-tensor field.
 
-    ``contravariant_constant`` covers the case where a constant matrix is
-    handed over as the raising map itself (its inverse is the covariant
-    metric); keeping the original matrix makes sharp exact instead of
-    round-tripping through a numeric inversion.
+    ``field`` holds g_{ab} and is the metric's only representation: the
+    raising map g^{ab} is computed from it by ``inverse_metric``, also for
+    a metric given by its constant raising map (``from_contravariant``).
     """
 
-    __slots__ = ("field", "contravariant_constant")
+    __slots__ = ("field",)
 
-    def __init__(self, field: TensorField, contravariant_constant=None):
+    def __init__(self, field: TensorField):
         if field.variance != "ll":
             raise ValueError("metric components must form a covariant 2-tensor")
         self.field = field
-        if contravariant_constant is not None:
-            contravariant_constant = np.array(contravariant_constant, dtype=float)
-            contravariant_constant.flags.writeable = False
-        self.contravariant_constant = contravariant_constant
 
     @property
     def dim(self) -> int:
@@ -71,7 +66,7 @@ class MetricField:
 
     @classmethod
     def from_contravariant(cls, matrix, covariant=None) -> "MetricField":
-        """Interpret ``matrix`` as the constant raising map g^{mu nu}.
+        """The constant metric whose raising map g^{mu nu} is ``matrix``.
 
         The covariant metric is its inverse: supplied in closed form when
         available, otherwise computed numerically once.
@@ -86,41 +81,41 @@ class MetricField:
         covariant = np.asarray(covariant, dtype=float)
         if np.max(np.abs(covariant @ matrix - np.eye(dim))) > INVERSE_CHECK_TOL:
             raise ValueError("supplied covariant matrix is not the inverse")
-        return cls(TensorField.constant(dim, "ll", covariant),
-                   contravariant_constant=matrix)
+        return cls.constant(covariant)
 
 
 def reject_singular(matrix, what):
     """Raise DegeneracyError if the matrix, or one of a stack, is singular.
 
-    A matrix is singular when it is all zero or when |det| falls below
-    ``DET_FLOOR_FACTOR`` times its largest |entry| to the n-th power.
+    A matrix A is singular when |det(A/s)| falls below ``DET_FLOOR_FACTOR``,
+    with s its largest |entry|; an all-zero matrix is singular. Dividing
+    first keeps the determinant finite however large the entries are.
     ``what`` names the matrix; for a stack it may be a function of the index
     of the first singular one.
     """
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    n = stack.shape[-1]
     scale = np.max(np.abs(stack), axis=(1, 2))
-    det = np.linalg.det(stack)
-    singular = np.flatnonzero((scale == 0.0)
-                              | (np.abs(det) < DET_FLOOR_FACTOR * scale ** n))
+    det = np.linalg.det(stack / np.where(scale > 0.0, scale, 1.0)[:, None, None])
+    singular = np.flatnonzero(np.abs(det) < DET_FLOOR_FACTOR)
     if singular.size:
         k = singular[0]
         cond = float(np.linalg.cond(stack[k]))
         name = what(k) if callable(what) else what
         raise DegeneracyError(
-            f"{name} is numerically singular (|det| = {abs(det[k]):.3e}, "
-            f"condition number {cond:.3e})",
+            f"{name} is numerically singular (|det(A/s)| = {abs(det[k]):.3e} "
+            f"with s = max |entry| = {scale[k]:.3e}, condition number {cond:.3e})",
             detail={"det": float(det[k]), "cond": cond, "matrix": stack[k].copy()})
 
 
 def inverse_metric(m: MetricField, p) -> np.ndarray:
-    """g^{mu nu} at each row of p; raises DegeneracyError where g is singular."""
-    if m.contravariant_constant is not None:
-        return np.broadcast_to(m.contravariant_constant,
-                               (len(p),) + m.contravariant_constant.shape)
-    g = m.components(p)
-    reject_singular(g, lambda k: f"metric at {Point(p[k])!r}")
+    """g^{mu nu} at each row of p; raises DegeneracyError where g is singular.
+
+    A metric that reads no coordinate is checked and inverted at the first
+    row only, and the result broadcast over the batch."""
+    constant = m.field.reads == frozenset()
+    rows = p[:1] if constant else p
+    g = m.components(rows)
+    reject_singular(g, lambda k: f"metric at {Point(rows[k])!r}")
     ginv = np.linalg.inv(g)
     off = np.max(np.abs(ginv @ g - np.eye(m.dim)), axis=(1, 2))
     failed = np.flatnonzero(off > INVERSE_CHECK_TOL)
@@ -128,10 +123,10 @@ def inverse_metric(m: MetricField, p) -> np.ndarray:
         k = failed[0]
         cond = float(np.linalg.cond(g[k]))
         raise DegeneracyError(
-            f"metric inversion at {Point(p[k])!r} failed the identity check "
+            f"metric inversion at {Point(rows[k])!r} failed the identity check "
             f"(condition number {cond:.3e})",
             detail={"cond": cond, "matrix": g[k].copy()})
-    return ginv
+    return np.broadcast_to(ginv, (len(p),) + ginv.shape[1:]) if constant else ginv
 
 
 @dataclass(frozen=True)
@@ -168,29 +163,15 @@ def covariant_derivative_bivector(P: np.ndarray, dP: np.ndarray,
 
 
 def sharp_field(m: MetricField, omega: TensorField) -> TensorField:
-    """The vector field x -> g^{-1}(x) w(x) for a one-form field w.
-
-    When the raising map is an exact constant matrix and the one-form is
-    expression-backed, the result is expression-backed too (exact brackets
-    and derivatives); otherwise it is a numeric composition.
-    """
+    """The vector field x -> g^{-1}(x) w(x) for a one-form field w, as a
+    numeric composition of ``inverse_metric`` and w."""
     if omega.variance != "l":
         raise ValueError("expected a one-form field")
-    dim = omega.dim
-    G = m.contravariant_constant
-    if G is not None and isinstance(omega, dsl.ExprTensorField):
-        entries = []
-        for mu in range(dim):
-            acc = dsl.lit(0.0)
-            for nu in range(dim):
-                acc = dsl.add(acc, dsl.mul(dsl.lit(G[mu, nu]), omega.exprs[(nu,)]))
-            entries.append(acc)
-        return dsl.expr_field(dim, "u", entries)
 
     def evaluate_at(coords):
         return matvec(inverse_metric(m, coords), omega.components(coords))
 
-    return TensorField(dim, "u", evaluate_at)
+    return TensorField(omega.dim, "u", evaluate_at)
 
 
 def lie_derivative_metric(g: np.ndarray, x: np.ndarray, dx: np.ndarray,

@@ -4,7 +4,8 @@ The regular leaves are the integral surfaces of the image of the bivector;
 the object under study is the complementary distribution picked out by a
 metric: the g-orthogonal complement of the leaf tangent, spanned by the
 raised Casimir differentials xi_i = (dc^i)^sharp (built in
-``context.ChartContext``).
+``context.ChartContext``). The Casimirs and coframe scales enter through
+``PoissonStructure``, which turns each into a scalar field once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl
-from .errors import DegeneracyError, RegularityError
+from .errors import DegeneracyError, ExprError, RegularityError
 from .geometry import (
     DEFAULT_SCHEME, DerivativeScheme, Point, TensorField, matvec,
     pointwise_max_abs,
@@ -33,8 +34,10 @@ class PoissonStructure:
     ``casimirs`` are scalar fields whose differentials are annihilated by
     the bivector; there must be dim - expected_rank of them. Optional
     ``coframe_scales`` rescale each differential (a nonvanishing gauge
-    choice; entries may be numbers, expression text, Expr nodes, or scalar
-    fields).
+    choice), one per Casimir. An entry of either list may be a scalar
+    field, expression text, an ``Expr`` or a number; construction turns
+    each into a checked scalar field, so both lists hold fields and
+    ``dataclasses.replace`` keeps them.
     """
 
     bivector: TensorField
@@ -50,15 +53,15 @@ class PoissonStructure:
             raise ValueError("expected rank must be a positive even integer")
         if self.expected_rank >= n:
             raise ValueError("expected rank must leave a nonzero complement")
-        for c in self.casimirs:
-            if c.variance != "" or c.dim != n:
-                raise ValueError("casimirs must be scalar fields on the same chart")
+        self.casimirs = _scalar_fields(self.casimirs, n, "casimirs")
         if len(self.casimirs) != n - self.expected_rank:
             raise ValueError(
                 f"need dim - rank = {n - self.expected_rank} invariant functions, "
                 f"got {len(self.casimirs)}")
-        if self.coframe_scales is not None and len(self.coframe_scales) != len(self.casimirs):
-            raise ValueError("coframe_scales must match the number of casimirs")
+        if self.coframe_scales is not None:
+            if len(self.coframe_scales) != len(self.casimirs):
+                raise ValueError("coframe_scales must match the number of casimirs")
+            self.coframe_scales = _scalar_fields(self.coframe_scales, n, "coframe_scales")
 
     @property
     def dim(self) -> int:
@@ -69,14 +72,20 @@ class PoissonStructure:
         return self.dim - self.expected_rank
 
 
-def _scale_field(scale, dim: int) -> TensorField:
-    if isinstance(scale, TensorField):
-        if scale.variance != "":
-            raise ValueError("coframe scale must be a scalar field")
-        return scale
-    if isinstance(scale, str) or isinstance(scale, dsl.Expr):
-        return dsl.expr_field(dim, "", scale)
-    return dsl.expr_field(dim, "", dsl.lit(float(scale)))
+def _scalar_fields(entries, dim: int, name: str) -> list:
+    """Each entry as a checked scalar field on a chart of dimension dim."""
+    fields = []
+    for i, field in enumerate(entries):
+        try:
+            if not isinstance(field, TensorField):
+                source = field if isinstance(field, (str, dsl.Expr)) else dsl.lit(float(field))
+                field = dsl.expr_field(dim, "", source)
+            if field.variance != "" or field.dim != dim:
+                raise ValueError(f"expected a scalar field in dimension {dim}")
+        except (ExprError, TypeError, ValueError) as exc:
+            raise ValueError(f"{name}[{i}]: {exc}") from exc
+        fields.append(field)
+    return fields
 
 
 def coframe_fields(ps: PoissonStructure,
@@ -91,7 +100,7 @@ def coframe_fields(ps: PoissonStructure,
         if ps.coframe_scales is None:
             out.append(grad)
             continue
-        scale = _scale_field(ps.coframe_scales[i], ps.dim)
+        scale = ps.coframe_scales[i]
         if (isinstance(grad, dsl.ExprTensorField)
                 and isinstance(scale, dsl.ExprTensorField)):
             s = scale.exprs[()]
@@ -107,19 +116,19 @@ def coframe_fields(ps: PoissonStructure,
 
 def check_gram_nondegenerate(gram: np.ndarray, p) -> None:
     """Raise DegeneracyError at the first row of p, (n, dim), whose frame
-    gram matrix is degenerate."""
+    gram matrix G is degenerate: |det(G/s)| < GRAM_DET_FACTOR with
+    s = max(1, max |G_ij|), a determinant that cannot overflow."""
     stack = gram.reshape((-1,) + gram.shape[-2:])
-    d = stack.shape[-1]
     scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
-    det = np.linalg.det(stack)
-    degenerate = np.flatnonzero(np.abs(det) < GRAM_DET_FACTOR * scale ** d)
+    det = np.linalg.det(stack / scale[:, None, None])
+    degenerate = np.flatnonzero(np.abs(det) < GRAM_DET_FACTOR)
     if degenerate.size:
         k = degenerate[0]
         raise DegeneracyError(
             f"frame gram matrix is degenerate at {Point(p[k])!r} "
-            f"(|det| = {abs(det[k]):.3e}; pseudo-Riemannian metrics can be "
-            f"degenerate on the orthogonal distribution even where the leaf "
-            f"is regular)",
+            f"(|det(G/s)| = {abs(det[k]):.3e} with s = {scale[k]:.3e}; "
+            f"pseudo-Riemannian metrics can be degenerate on the orthogonal "
+            f"distribution even where the leaf is regular)",
             detail={"det": float(det[k]), "gram": stack[k].copy()})
 
 

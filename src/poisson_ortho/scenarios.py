@@ -75,7 +75,7 @@ class ScenarioConfig:
 def _canonical_structure() -> PoissonStructure:
     return PoissonStructure(
         bivector=canonical_bivector(4, 2),
-        casimirs=[dsl.scalar_field("x1", 4), dsl.scalar_field("x2", 4)],
+        casimirs=["x1", "x2"],
         expected_rank=2)
 
 
@@ -244,6 +244,12 @@ def _parse_poisson(doc: dict, dim: int, raw: dict):
     if not all(isinstance(c, str) for c in casimirs):
         raise ConfigError("casimirs: expected a list of expression strings")
     scales = raw.get("coframe_scales")
+    if scales is not None and (
+            not isinstance(scales, list) or len(scales) != len(casimirs)
+            or not all(isinstance(s, str) or _is_number(s) for s in scales)):
+        raise ConfigError(
+            f"coframe_scales: expected {len(casimirs)} entries, one per Casimir, "
+            f"each an expression string or a finite number, got {scales!r}")
 
     if kind == "canonical":
         expected = _require(doc, "rank", int, "poisson")
@@ -261,7 +267,7 @@ def _parse_poisson(doc: dict, dim: int, raw: dict):
             bivector = canonical_bivector(dim, expected)
         structure = PoissonStructure(
             bivector=bivector,
-            casimirs=[dsl.scalar_field(c, dim) for c in casimirs],
+            casimirs=casimirs,
             expected_rank=expected,
             coframe_scales=scales)
     except ConfigError:

@@ -274,14 +274,14 @@ def test_se3_metric_sharp_swaps_blocks():
 def test_se3_metric_inverse_closed_form():
     m = se3_metric(2.0, 3.0)
     p = np.zeros((1, 6))
-    prod = m.components(p)[0] @ m.contravariant_constant
+    prod = m.components(p)[0] @ inverse_metric(m, p)[0]
     assert np.allclose(prod, np.eye(6), atol=1e-15)
 
 
 def test_se3_metric_eigenvalues_and_signature():
     for alpha, beta in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
         vals = np.sort(np.linalg.eigvalsh(
-            se3_metric(alpha, beta).contravariant_constant))
+            inverse_metric(se3_metric(alpha, beta), np.zeros((1, 6)))[0]))
         lo = (alpha - np.sqrt(alpha ** 2 + 4 * beta ** 2)) / 2
         hi = (alpha + np.sqrt(alpha ** 2 + 4 * beta ** 2)) / 2
         assert np.allclose(vals, [lo] * 3 + [hi] * 3, atol=1e-12)
@@ -293,7 +293,7 @@ def test_se3_metric_ad_invariant():
     # G([z,u],v) + G(u,[z,v]) = 0 on all basis triples, for the whole family
     sc = builtin_algebra("se3").constants
     for alpha, beta in ((0.0, 1.0), (1.0, 1.0), (0.5, 2.0)):
-        g = se3_metric(alpha, beta).contravariant_constant
+        g = inverse_metric(se3_metric(alpha, beta), np.zeros((1, 6)))[0]
         lhs = (np.einsum("rmt,tn->rmn", sc.table, g)
                + np.einsum("rnt,mt->rmn", sc.table, g))
         assert np.max(np.abs(lhs)) == 0.0

@@ -11,7 +11,7 @@ from poisson_ortho.geometry import (
 from poisson_ortho.metric import (
     MetricField, christoffel, covariant_derivative_bivector,
     covariant_derivative_oneform, inverse_metric, laplacian,
-    lie_derivative_metric, sharp_field,
+    lie_derivative_metric, reject_singular, sharp_field,
 )
 
 FD4 = DerivativeScheme(kind="central-4th-order")
@@ -100,20 +100,37 @@ def test_inverse_identity_check_on_grid():
 
 
 def test_singular_metric_raises_degeneracy_error():
+    # a constant metric is checked once, at the first row of the batch
     m = MetricField.constant([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(DegeneracyError) as err:
-        inverse_metric(m, pt(0.0, 0.0))
+    with pytest.raises(DegeneracyError, match=r"metric at Point\(3\.0, 4\.0\)") as err:
+        inverse_metric(m, np.array([[3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]))
     assert "condition number" in str(err.value)
 
 
+def test_inverse_of_constant_metric_is_each_rows_inverse():
+    G = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, -0.7]])
+    q = np.arange(15.0).reshape(5, 3)
+    ginv = inverse_metric(MetricField.constant(G), q)
+    assert ginv.shape == (5, 3, 3)
+    for row in ginv:
+        assert np.array_equal(row, np.linalg.inv(G))
+
+
 def test_all_zero_metric_is_singular_and_a_tiny_one_is_not():
-    # the zero matrix's floor scale^n is 0 and so is its determinant: it is
-    # singular because its largest entry is 0, not by the determinant test
+    # the zero matrix has no largest entry to divide by, and determinant 0
     with pytest.raises(DegeneracyError, match="singular"):
         inverse_metric(MetricField.constant(np.zeros((4, 4))), pt(0.0, 0.0, 0.0, 0.0))
-    # 1e-90 I underflows det and scale^n alike, and inverts exactly
+    # 1e-90 I divided by its largest entry is I, and it inverts exactly
     tiny = inverse_metric(MetricField.constant(1e-90 * np.eye(4)), pt(0.0, 0.0, 0.0, 0.0))
     assert np.array_equal(tiny[0], 1e90 * np.eye(4))
+
+
+def test_determinant_floor_does_not_overflow():
+    # |det| of 1e100 I and (1e307)^4 overflow, but the determinant of the
+    # matrix divided by its largest entry does not; numpy warnings fail here
+    reject_singular(1e100 * np.eye(4), "metric")
+    with pytest.raises(DegeneracyError, match=r"\|det\(A/s\)\| = 0\.000e\+00"):
+        reject_singular(np.diag([1.0, 1.0, 1e307, 1.0]), "metric")
 
 
 def test_shear_metric_eigenvalues():
@@ -278,17 +295,6 @@ def test_sharp_with_exchange_matrix_swaps_blocks():
     x = np.array([1.0, 0.0, 0.0])
     q = np.array([0.0, 1.0, 0.0])
     assert np.array_equal(sharp(m, np.concatenate([q, x]), p), np.concatenate([x, q]))
-
-
-def test_sharp_field_expression_path_is_exact():
-    G = np.block([[np.zeros((3, 3)), np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
-    m = MetricField.from_contravariant(G)
-    # w = (p, x) as expressions over coords (x1..x3, x4..x6)
-    w = dsl.expr_field(6, "l", ["x4", "x5", "x6", "x1", "x2", "x3"])
-    xi = sharp_field(m, w)
-    assert xi.has_exact_derivative
-    p = pt(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    assert np.array_equal(xi.components(p)[0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
 
 def test_sharp_field_numeric_path_matches_pointwise_sharp():

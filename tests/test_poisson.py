@@ -4,6 +4,8 @@ Frames and projectors are read from ``ChartContext``; the reference values
 are closed forms or small numpy constructions written out in the tests.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from poisson_ortho import dsl
 from poisson_ortho.context import ChartContext
 from poisson_ortho.errors import DegeneracyError, RegularityError
 from poisson_ortho.geometry import (
-    CENTRAL_4, DEFAULT_SCHEME, DerivativeScheme, Grid, TensorField,
+    CENTRAL_4, DEFAULT_SCHEME, SCHEME_NAMES, DerivativeScheme, Grid, TensorField,
 )
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import (
@@ -121,6 +123,52 @@ def test_structure_validation():
         PoissonStructure(biv, cas, expected_rank=2, coframe_scales=[1.0])
     ps = canonical4()
     assert ps.dim == 4 and ps.codim == 2
+
+
+def test_structure_converts_each_entry_once():
+    biv = canonical_bivector(4, 2)
+    field = dsl.scalar_field("1 + x3^2", 4)
+    ps = PoissonStructure(biv, ["x1", dsl.parse("x2")], expected_rank=2,
+                          coframe_scales=[2, field])
+    entries = ps.casimirs + ps.coframe_scales
+    assert all(isinstance(f, dsl.ExprTensorField) and f.variance == "" for f in entries)
+    assert ps.coframe_scales[1] is field
+    assert [f.components(pt(3.0, 5.0, 2.0, 0.0))[0] for f in entries] == [3.0, 5.0, 2.0, 5.0]
+    kept = replace(ps, expected_rank=2)
+    assert all(a is b for a, b in zip(kept.casimirs + kept.coframe_scales, entries))
+
+
+@pytest.mark.parametrize("scales, match", [
+    (["1 +", 1], r"coframe_scales\[0\]"),
+    ([1, "x9"], r"coframe_scales\[1\]: .*beyond dimension 4"),
+    ([1, dsl.expr_field(4, "l", ["x1", "0", "0", "0"])], r"coframe_scales\[1\]: .*scalar"),
+    ([[1], 1], r"coframe_scales\[0\]"),
+])
+def test_structure_names_the_bad_entry(scales, match):
+    with pytest.raises(ValueError, match=match):
+        PoissonStructure(canonical_bivector(4, 2), ["x1", "x2"], expected_rank=2,
+                         coframe_scales=scales)
+
+
+@pytest.mark.parametrize("scheme", ["central-2", "central-4", "symbolic"])
+def test_chart_context_converts_no_input(monkeypatch, scheme):
+    # the structure holds its Casimirs and scales as fields; only an exact
+    # Casimir's gradient field is still built, under symbolic
+    structure = se3_structure()
+    calls = []
+
+    def counted(name):
+        original = getattr(dsl, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+    for name in ("parse", "expr_field"):
+        monkeypatch.setattr(dsl, name, counted(name))
+    ChartContext(structure, MetricField.constant(np.eye(6)), pt(1, 0, 0, 0, 1, 0),
+                 DerivativeScheme(kind=SCHEME_NAMES[scheme]))
+    assert calls == ([] if scheme != "symbolic" else ["expr_field"] * structure.codim)
 
 
 def test_canonical_bivector_layout():

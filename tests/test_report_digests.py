@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poisson_ortho.context import ChartContext
 from poisson_ortho.geometry import SCHEME_NAMES, DerivativeScheme, TensorField
 from poisson_ortho.metric import MetricField
 from poisson_ortho.poisson import PoissonStructure
@@ -158,7 +157,7 @@ def closure(field):
 def with_closures(config):
     """The config with every input field (g, P, Casimirs, scales) a closure."""
     structure = config.structure
-    scales = ChartContext(structure, config.metric, config.grid.sample()).scales
+    scales = structure.coframe_scales
     return replace(
         config,
         structure=PoissonStructure(
@@ -166,8 +165,7 @@ def with_closures(config):
             casimirs=[closure(c) for c in structure.casimirs],
             expected_rank=structure.expected_rank,
             coframe_scales=None if scales is None else [closure(c) for c in scales]),
-        metric=MetricField(closure(config.metric.field),
-                           config.metric.contravariant_constant))
+        metric=MetricField(closure(config.metric.field)))
 
 
 def condition_reports(report) -> dict:

@@ -205,6 +205,21 @@ def test_cli_boolean_tolerance_is_not_a_verdict(tmp_path, capsys):
     assert "tol_zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scales", [
+    '["1 +", 1]', '[[1], 1]', '"ab"', '[1e400, 1]', '[1, "x9"]', '[true, 1]',
+])
+def test_cli_malformed_coframe_scales_are_a_config_error(tmp_path, capsys, scales):
+    # the loader checks the list and each entry, so none of these reaches
+    # the run, and a JSON true is not read as the number 1
+    path = tmp_path / "scales.json"
+    path.write_text(json.dumps(chart_config(coframe_scales="SCALES"))
+                    .replace('"SCALES"', scales))
+    assert main(["check", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "coframe_scales" in err and "unexpected" not in err
+
+
 @pytest.mark.parametrize("params", [{"alpha": True}, {"beta": "1"}])
 def test_config_se3_metric_parameters_are_numbers(tmp_path, params):
     doc = {**SE3_METRIC_CONFIG, "metric": {"kind": "se3", **params}}
